@@ -576,23 +576,17 @@ void BM_IngressDatapathZeroCopy(benchmark::State& state) {
   }
 }
 
-// ---- ISSUE 8: egress arm — batched uring tx, zero allocs per packet ---
+// ---- egress arm — gather sendmsg, zero allocs per packet --------------
 //
 // The transmit mirror of BM_IngressDatapathZeroCopy: B (head, payload)
-// gather sends staged as SENDMSG SQEs, one io_uring_enter per flush, the
-// mmsg receiver draining into pool slabs to close the loop. Every staging
-// resource is preallocated at ring construction — slot head arrays, the
-// bounded copy_buf the unpinned payload rides, iovecs, msghdrs — so the
-// TU's instrumented operator new must count ZERO steady-state heap
-// allocations; the arm fails the bench if the audit finds any.
-void BM_EgressDatapathUring(benchmark::State& state) {
-  net::udp_config cfg;
-  cfg.backend = net::udp_backend::uring;
-  net::udp_endpoint tx(cfg);
-  if (tx.backend() != net::udp_backend::uring) {
-    state.SkipWithError("io_uring unavailable on this kernel");
-    return;
-  }
+// gather sends, one two-iovec sendmsg each, the receiver draining into
+// pool slabs to close the loop. Neither side owns a per-packet buffer —
+// iovecs and msghdrs live on the stack, received slabs recycle through the
+// pool — so the TU's instrumented operator new must count ZERO
+// steady-state heap allocations; the arm fails the bench if the audit
+// finds any.
+void BM_EgressDatapath(benchmark::State& state) {
+  net::udp_endpoint tx(net::udp_config{});
   net::udp_endpoint rx;
   tx.add_peer(2, "127.0.0.1", rx.port());
   rx.add_peer(1, "127.0.0.1", tx.port());
@@ -605,16 +599,14 @@ void BM_EgressDatapathUring(benchmark::State& state) {
 
   auto round = [&] {
     for (std::size_t i = 0; i < batch; ++i) tx.send_gather(2, head, payload);
-    tx.flush_tx();
     std::size_t got = 0;
     for (int spins = 0; got < batch && spins < 100000; ++spins) {
       received.clear();  // slab refs drop; the pool recycles them
       got += rx.recv_batch_views(net::udp_endpoint::kBatchMax, received);
     }
-    tx.tx_drain();  // retire every completion before the next round
   };
 
-  round();  // warm-up: slot free list, rx slab cache and vectors settle
+  round();  // warm-up: rx slab cache and vectors settle
   for (auto _ : state) round();
   const double allocs_per_round = audit_allocs(64, round);
 
@@ -623,7 +615,7 @@ void BM_EgressDatapathUring(benchmark::State& state) {
       static_cast<double>(state.iterations() * batch), benchmark::Counter::kIsRate);
   state.counters["heap_allocs_per_pkt"] = allocs_per_round / static_cast<double>(batch);
   if (allocs_per_round != 0.0) {
-    state.SkipWithError("steady-state heap allocations on the uring egress path");
+    state.SkipWithError("steady-state heap allocations on the egress path");
   }
 }
 
@@ -675,7 +667,7 @@ BENCHMARK(BM_IngressDatapath_Profiled)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_PathTracing)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_PathTracingSampled)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_HealthPlane)->Arg(1)->Arg(32)->Arg(128);
-BENCHMARK(BM_EgressDatapathUring)->Arg(8)->Arg(32);
+BENCHMARK(BM_EgressDatapath)->Arg(8)->Arg(32);
 BENCHMARK(BM_UdpLoopback_PerPacket)->Arg(32);
 BENCHMARK(BM_UdpLoopback_Batched)->Arg(32);
 

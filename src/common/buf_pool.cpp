@@ -97,14 +97,6 @@ slab_ref buf_pool::try_alloc() {
   return slab_ref(this, idx);
 }
 
-slab_ref buf_pool::ref_for_ptr(const std::uint8_t* p) {
-  if (p < arena_ || p >= arena_ + slab_size_ * slab_count_) return slab_ref();
-  const auto idx = static_cast<std::uint32_t>(
-      static_cast<std::size_t>(p - arena_) / slab_size_);
-  ctl_[idx].refs.fetch_add(1, std::memory_order_relaxed);
-  return slab_ref(this, idx);
-}
-
 void buf_pool::recycle(std::uint32_t idx) {
   frees_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);

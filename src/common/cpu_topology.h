@@ -1,12 +1,12 @@
 // CPU/NUMA topology probe and thread-placement helpers.
 //
-// The multi-core SN datapath (service_node workers) and the uring transport
-// both want topology-aware placement: worker shards pinned to cores, the
-// control thread on its own core, slab arenas and SQPOLL threads on the
-// node that owns those cores. This module is the one place that knows how
-// to discover the machine shape — /sys/devices/system/node on Linux, with
-// a portable single-node fallback everywhere else — and how to apply it
-// (sched_setaffinity for threads, a best-effort raw mbind for memory).
+// The multi-core SN datapath (service_node workers) wants topology-aware
+// placement: worker shards pinned to cores, the control thread on its own
+// core, slab arenas on the node that owns those cores. This module is the
+// one place that knows how to discover the machine shape —
+// /sys/devices/system/node on Linux, with a portable single-node fallback
+// everywhere else — and how to apply it (sched_setaffinity for threads, a
+// best-effort raw mbind for memory).
 //
 // Everything here is advisory: a failed pin or bind degrades locality,
 // never correctness, so every helper returns bool instead of throwing.

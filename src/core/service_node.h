@@ -102,8 +102,7 @@ struct sn_config {
   // scheduler in charge.
   std::vector<int> worker_cpus{};
   // Pin the control thread (the caller of start_workers / the event loop)
-  // to this CPU; -1 leaves it unpinned. Also the natural home for the
-  // uring SQPOLL thread (udp_config::sq_aff_cpu).
+  // to this CPU; -1 leaves it unpinned.
   int control_cpu = -1;
   // NUMA-aware placement: derive worker CPUs per node (when worker_cpus is
   // empty) and mbind each shard's ingress/egress ring storage onto the

@@ -20,11 +20,14 @@ std::uint64_t pack_source(const sockaddr_in& addr) {
 
 }  // namespace
 
-void udp_endpoint::open_socket(std::uint16_t port, bool reuse_port) {
+udp_endpoint::udp_endpoint(std::uint16_t port, bool reuse_port)
+    : udp_endpoint(udp_config{.port = port, .reuse_port = reuse_port, .pool = {}}) {}
+
+udp_endpoint::udp_endpoint(const udp_config& cfg) : pool_cfg_(cfg.pool) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw std::runtime_error("udp socket failed");
 
-  if (reuse_port) {
+  if (cfg.reuse_port) {
     const int one = 1;
     if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
       ::close(fd_);
@@ -35,7 +38,7 @@ void udp_endpoint::open_socket(std::uint16_t port, bool reuse_port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
+  addr.sin_port = htons(cfg.port);
   if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd_);
     throw std::runtime_error(std::string("udp bind failed: ") + std::strerror(errno));
@@ -48,80 +51,16 @@ void udp_endpoint::open_socket(std::uint16_t port, bool reuse_port) {
   ::fcntl(fd_, F_SETFL, fl | O_NONBLOCK);
 }
 
-udp_endpoint::udp_endpoint(std::uint16_t port, bool reuse_port) {
-  cfg_.port = port;
-  cfg_.reuse_port = reuse_port;
-  cfg_.backend = udp_backend::mmsg;
-  backend_ = udp_backend::mmsg;
-  open_socket(port, reuse_port);
-}
-
-udp_endpoint::udp_endpoint(const udp_config& cfg) : cfg_(cfg) {
-  open_socket(cfg.port, cfg.reuse_port);
-  backend_ = cfg.backend;
-  if (backend_ == udp_backend::auto_detect) {
-    backend_ = io_uring_runtime_available() ? udp_backend::uring : udp_backend::mmsg;
-  }
-#if INTEREDGE_HAS_IO_URING
-  if (backend_ == udp_backend::uring) {
-    if (!io_uring_runtime_available()) {
-      backend_ = udp_backend::mmsg;  // explicit request, kernel says no
-    } else {
-      ensure_pool();
-      uring_rx::config rcfg;
-      rcfg.slots = cfg.uring_slots;
-      rcfg.sqpoll = cfg.sqpoll;
-      rcfg.sq_aff_cpu = cfg.sq_aff_cpu;
-      try {
-        uring_ = std::make_unique<uring_rx>(fd_, *pool_, rcfg);
-      } catch (const std::runtime_error&) {
-        // Probe said yes but setup failed (resource limits, policy): the
-        // whole point of runtime selection is that this degrades, not dies.
-        backend_ = udp_backend::mmsg;
-      }
-    }
-  }
-  if (backend_ == udp_backend::uring && cfg.uring_tx) {
-    uring_tx::config tcfg;
-    tcfg.slots = cfg.uring_tx_slots;
-    tcfg.zerocopy = cfg.uring_zerocopy;
-    tcfg.zc_threshold = cfg.uring_zc_threshold;
-    // The tx ring stays non-SQPOLL: flush_tx() is the batching boundary,
-    // and a second kernel poll thread per endpoint would cost more than
-    // the enter it saves.
-    tcfg.sq_aff_cpu = cfg.sq_aff_cpu;
-    try {
-      uring_tx_ = std::make_unique<uring_tx>(fd_, tcfg);
-    } catch (const std::runtime_error&) {
-      // Keep the synchronous send path; rx stays on the ring.
-    }
-  }
-#else
-  if (backend_ == udp_backend::uring) backend_ = udp_backend::mmsg;
-#endif
-}
-
 udp_endpoint::~udp_endpoint() {
-#if INTEREDGE_HAS_IO_URING
-  uring_tx_.reset();  // drains in-flight sends, releasing their slab pins
-  uring_.reset();     // cancel in-flight SQEs before the pool dies
-#endif
   rx_slabs_.clear();
   view_scratch_.clear();
   cache_.reset();
   if (fd_ >= 0) ::close(fd_);
 }
 
-int udp_endpoint::wait_fd() const {
-#if INTEREDGE_HAS_IO_URING
-  if (uring_) return uring_->ring_fd();
-#endif
-  return fd_;
-}
-
 void udp_endpoint::ensure_pool() {
   if (pool_) return;
-  pool_ = std::make_unique<buf::buf_pool>(cfg_.pool);
+  pool_ = std::make_unique<buf::buf_pool>(pool_cfg_);
   cache_.emplace(*pool_);
 }
 
@@ -134,46 +73,13 @@ void udp_endpoint::add_peer(peer_id peer, const std::string& ip, std::uint16_t p
   by_source_.insert(pack_source(addr), peer);
 }
 
-bool udp_endpoint::send_to_addr(const sockaddr_in* addr, const_byte_span datagram) {
-  for (std::size_t attempt = 0;; ++attempt) {
-    const ssize_t n = ::sendto(fd_, datagram.data(), datagram.size(), 0,
-                               reinterpret_cast<const sockaddr*>(addr), sizeof(*addr));
-    if (n >= 0) {
-      ++sent_;
-      return true;
-    }
-    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) return false;
-    ++send_again_;
-    if (m_send_again_ != nullptr) m_send_again_->add();
-    if (attempt >= kSendRetries) return false;  // UDP is lossy anyway
-  }
-}
-
 bool udp_endpoint::send(peer_id to, const_byte_span datagram) {
-  const sockaddr_in* addr = peers_.find(to);
-  if (addr == nullptr) return false;
-  return send_to_addr(addr, datagram);
+  return send_gather(to, datagram, {});
 }
 
 bool udp_endpoint::send_gather(peer_id to, const_byte_span head, const_byte_span payload) {
   const sockaddr_in* addr = peers_.find(to);
   if (addr == nullptr) return false;
-#if INTEREDGE_HAS_IO_URING
-  if (uring_tx_) {
-    // Pin the payload's slab when it aliases the rx pool (the forward path:
-    // the packet goes back out of the slab it arrived in, released when the
-    // completion retires). Payloads from elsewhere (decrypt arena, owned
-    // bytes) are copied into the slot instead.
-    buf::slab_ref pin;
-    if (pool_ && !payload.empty()) pin = pool_->ref_for_ptr(payload.data());
-    if (uring_tx_->stage(*addr, head, payload, std::move(pin))) {
-      ++sent_;
-      if (uring_tx_->staged() >= kBatchMax) flush_tx();
-      return true;
-    }
-    // Ring saturated or message oversized: synchronous fallback below.
-  }
-#endif
   iovec iovs[2] = {
       {const_cast<std::uint8_t*>(head.data()), head.size()},
       {const_cast<std::uint8_t*>(payload.data()), payload.size()},
@@ -192,33 +98,11 @@ bool udp_endpoint::send_gather(peer_id to, const_byte_span head, const_byte_span
     if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) return false;
     ++send_again_;
     if (m_send_again_ != nullptr) m_send_again_->add();
-    if (attempt >= kSendRetries) return false;
+    if (attempt >= kSendRetries) return false;  // UDP is lossy anyway
   }
 }
 
 std::optional<std::pair<peer_id, bytes>> udp_endpoint::poll() {
-#if INTEREDGE_HAS_IO_URING
-  if (uring_) {
-    // The kernel drains the socket into the ring; serve from completions.
-    // poll() historically doesn't touch the rx batch counters, so reap
-    // directly rather than through recv_batch_views.
-    reap_scratch_.clear();
-    while (uring_->reap(1, reap_scratch_) > 0) {
-      uring_completion& c = reap_scratch_.back();
-      if (c.truncated) ++rx_truncated_;
-      const peer_id* peer = by_source_.find(pack_source(c.source));
-      if (peer == nullptr) {
-        ++dropped_unknown_;
-        reap_scratch_.clear();
-        continue;
-      }
-      ++received_;
-      const const_byte_span data = c.view.span();
-      return std::make_pair(*peer, bytes(data.begin(), data.end()));
-    }
-    return std::nullopt;
-  }
-#endif
   std::uint8_t buffer[65536];
   sockaddr_in source{};
   socklen_t len = sizeof(source);
@@ -234,7 +118,7 @@ std::optional<std::pair<peer_id, bytes>> udp_endpoint::poll() {
   return std::make_pair(*peer, bytes(buffer, buffer + n));
 }
 
-std::size_t udp_endpoint::recv_batch_views_mmsg(
+std::size_t udp_endpoint::recv_into_slabs(
     std::size_t max, std::vector<std::pair<peer_id, buf::pkt_view>>& out) {
   std::size_t appended = 0;
 #ifdef __linux__
@@ -314,35 +198,6 @@ std::size_t udp_endpoint::recv_batch_views_mmsg(
   return appended;
 }
 
-#if INTEREDGE_HAS_IO_URING
-std::size_t udp_endpoint::recv_batch_views_uring(
-    std::size_t max, std::vector<std::pair<peer_id, buf::pkt_view>>& out) {
-  reap_scratch_.clear();
-  const std::size_t n = uring_->reap(max, reap_scratch_);
-  if (n == 0) {
-    uring_->replenish();  // re-arm any slots parked on pool exhaustion
-    ++rx_empty_;
-    return 0;
-  }
-  if (n < max) ++rx_partial_batches_;
-  std::size_t appended = 0;
-  for (uring_completion& c : reap_scratch_) {
-    if (c.truncated) ++rx_truncated_;
-    const peer_id* peer = by_source_.find(pack_source(c.source));
-    if (peer == nullptr) {
-      ++dropped_unknown_;
-      continue;
-    }
-    ++received_;
-    out.emplace_back(*peer, std::move(c.view));
-    ++appended;
-  }
-  reap_scratch_.clear();
-  uring_->replenish();
-  return appended;
-}
-#endif
-
 void udp_endpoint::sync_telemetry() {
   if (m_rx_truncated_ == nullptr) return;  // telemetry not enabled
   if (rx_truncated_ != last_rx_truncated_) {
@@ -357,64 +212,13 @@ void udp_endpoint::sync_telemetry() {
     m_dropped_unknown_->add(dropped_unknown_ - last_dropped_unknown_);
     last_dropped_unknown_ = dropped_unknown_;
   }
-#if INTEREDGE_HAS_IO_URING
-  if (uring_ && m_uring_completions_ != nullptr) {
-    if (const auto v = uring_->completions(); v != last_uring_completions_) {
-      m_uring_completions_->add(v - last_uring_completions_);
-      last_uring_completions_ = v;
-    }
-    if (const auto v = uring_->truncated(); v != last_uring_truncated_) {
-      m_uring_truncated_->add(v - last_uring_truncated_);
-      last_uring_truncated_ = v;
-    }
-    if (const auto v = uring_->parked(); v != last_uring_parked_) {
-      m_uring_parked_->add(v - last_uring_parked_);
-      last_uring_parked_ = v;
-    }
-    if (const auto v = uring_->rearm_failed(); v != last_uring_rearm_failed_) {
-      m_uring_rearm_failed_->add(v - last_uring_rearm_failed_);
-      last_uring_rearm_failed_ = v;
-    }
-  }
-  if (uring_tx_ && m_tx_completions_ != nullptr) {
-    if (const auto v = uring_tx_->completions(); v != last_tx_completions_) {
-      m_tx_completions_->add(v - last_tx_completions_);
-      last_tx_completions_ = v;
-    }
-    if (const auto v = uring_tx_->short_sends(); v != last_tx_short_sends_) {
-      m_tx_short_sends_->add(v - last_tx_short_sends_);
-      last_tx_short_sends_ = v;
-    }
-    if (const auto v = uring_tx_->zc_used(); v != last_tx_zc_used_) {
-      m_tx_zc_used_->add(v - last_tx_zc_used_);
-      last_tx_zc_used_ = v;
-    }
-    if (const auto v = uring_tx_->zc_fallback(); v != last_tx_zc_fallback_) {
-      m_tx_zc_fallback_->add(v - last_tx_zc_fallback_);
-      last_tx_zc_fallback_ = v;
-    }
-    if (const auto v = uring_tx_->submit_batches(); v != last_tx_submit_batches_) {
-      m_tx_submit_batches_->add(v - last_tx_submit_batches_);
-      last_tx_submit_batches_ = v;
-    }
-    // High-water mark, not a rate: mirror as a gauge set.
-    m_tx_inflight_peak_->set(static_cast<std::int64_t>(uring_tx_->inflight_peak()));
-  }
-#endif
 }
 
 std::size_t udp_endpoint::recv_batch_views(
     std::size_t max, std::vector<std::pair<peer_id, buf::pkt_view>>& out) {
   max = std::min(max, kBatchMax);
   if (max == 0) return 0;
-#if INTEREDGE_HAS_IO_URING
-  if (uring_) {
-    const std::size_t n = recv_batch_views_uring(max, out);
-    sync_telemetry();
-    return n;
-  }
-#endif
-  const std::size_t n = recv_batch_views_mmsg(max, out);
+  const std::size_t n = recv_into_slabs(max, out);
   sync_telemetry();
   return n;
 }
@@ -431,63 +235,10 @@ std::size_t udp_endpoint::recv_batch(std::size_t max,
   return n;
 }
 
-std::size_t udp_endpoint::flush_tx() {
-#if INTEREDGE_HAS_IO_URING
-  if (uring_tx_) {
-    const std::size_t n = uring_tx_->flush();
-    uring_tx_->reap();
-    sync_telemetry();
-    return n;
-  }
-#endif
-  return 0;
-}
-
-bool udp_endpoint::tx_drain(std::chrono::milliseconds timeout) {
-#if INTEREDGE_HAS_IO_URING
-  if (uring_tx_) {
-    const bool done = uring_tx_->drain(timeout);
-    sync_telemetry();
-    return done;
-  }
-#endif
-  (void)timeout;
-  return true;
-}
-
-std::size_t udp_endpoint::tx_inflight() const {
-#if INTEREDGE_HAS_IO_URING
-  if (uring_tx_) return uring_tx_->inflight();
-#endif
-  return 0;
-}
-
 std::size_t udp_endpoint::send_batch(peer_id to, std::span<const bytes> datagrams) {
   const sockaddr_in* addr = peers_.find(to);
   if (addr == nullptr) return 0;
   std::size_t accepted = 0;
-#if INTEREDGE_HAS_IO_URING
-  if (uring_tx_) {
-    // Stage the whole batch onto the tx ring; one enter submits it all.
-    // A full ring flushes (submit + reap) and retries once before falling
-    // back to the synchronous path — the batch is never silently dropped.
-    for (const bytes& d : datagrams) {
-      if (!uring_tx_->stage(*addr, {}, d, {})) {
-        flush_tx();
-        if (!uring_tx_->stage(*addr, {}, d, {})) {
-          if (!send_to_addr(addr, d)) break;
-          ++accepted;
-          continue;
-        }
-      }
-      ++sent_;
-      ++accepted;
-      if (uring_tx_->staged() >= kBatchMax) flush_tx();
-    }
-    flush_tx();
-    return accepted;
-  }
-#endif
 #ifdef __linux__
   std::size_t offset = 0;
   std::size_t retries = 0;
@@ -565,19 +316,13 @@ std::size_t event_loop::pass(std::chrono::milliseconds max_wait) {
     fn();
   }
 
-  // Timer callbacks may have staged sends; submit them before blocking in
-  // select (otherwise a quiet socket strands them for a full max_wait).
-  for (const attached& a : endpoints_) a.endpoint->flush_tx();
-
   // Wait for readability across all endpoints (bounded by the next timer).
-  // wait_fd() is the backend-agnostic readiness handle: the socket fd for
-  // mmsg, the ring fd (readable when completions are posted) for uring.
   fd_set readable;
   FD_ZERO(&readable);
   int max_fd = -1;
   for (const attached& a : endpoints_) {
-    FD_SET(a.endpoint->wait_fd(), &readable);
-    max_fd = std::max(max_fd, a.endpoint->wait_fd());
+    FD_SET(a.endpoint->fd(), &readable);
+    max_fd = std::max(max_fd, a.endpoint->fd());
   }
   auto wait = max_wait;
   if (!timers_.empty()) {
@@ -618,9 +363,6 @@ std::size_t event_loop::pass(std::chrono::milliseconds max_wait) {
       ++dispatched;
     }
   }
-  // Handlers replying via send_gather leave sends staged; submit the batch
-  // before handing control back.
-  for (const attached& a : endpoints_) a.endpoint->flush_tx();
   return dispatched;
 }
 

@@ -138,7 +138,7 @@ TEST(UdpEndpoint, UnknownSourceDropped) {
   EXPECT_EQ(a.dropped_unknown() + 0u, a.dropped_unknown());  // counter exists
 }
 
-// ---- ISSUE 6: zero-copy receive + backend selection ------------------
+// ---- zero-copy receive ----------------------------------------------
 
 // Drains `rx` until `want` datagrams arrive (or the attempt budget runs
 // out), appending views. Copies nothing out of the slabs.
@@ -152,56 +152,31 @@ std::size_t drain_views(udp_endpoint& rx, std::size_t want,
   return out.size();
 }
 
-TEST(UdpBackend, LegacyConstructorKeepsMmsg) {
-  // The (port, reuse_port) constructor must never auto-upgrade: existing
-  // callers' counter semantics (rx_empty et al.) depend on recvmmsg.
-  udp_endpoint a;
-  EXPECT_EQ(a.backend(), udp_backend::mmsg);
-  EXPECT_EQ(a.wait_fd(), a.fd());
-}
+TEST(UdpBackend, BothConstructorsGiveAWorkingEndpoint) {
+  // The (port, reuse_port) constructor delegates to the udp_config one:
+  // either way the endpoint is a bound recvmmsg/sendmsg socket.
+  udp_endpoint legacy;
+  udp_endpoint configured(udp_config{});
+  EXPECT_EQ(legacy.backend(), udp_backend::mmsg);
+  EXPECT_EQ(configured.backend(), udp_backend::mmsg);
+  legacy.add_peer(2, "127.0.0.1", configured.port());
+  configured.add_peer(1, "127.0.0.1", legacy.port());
 
-TEST(UdpBackend, AutoDetectResolvesToARealBackend) {
-  udp_config cfg;  // backend = auto_detect
-  udp_endpoint a(cfg);
-  if (io_uring_runtime_available()) {
-    EXPECT_EQ(a.backend(), udp_backend::uring);
-    EXPECT_NE(a.wait_fd(), a.fd());  // readiness watches the ring fd
-  } else {
-    EXPECT_EQ(a.backend(), udp_backend::mmsg);
-    EXPECT_EQ(a.wait_fd(), a.fd());
-  }
-}
-
-TEST(UdpBackend, UringFallbackWhenForcedUnavailable) {
-  io_uring_force_unavailable(true);
-  // Explicitly requesting uring on a kernel without it is a clean runtime
-  // fallback to mmsg, not a construction failure.
-  udp_config cfg;
-  cfg.backend = udp_backend::uring;
-  udp_endpoint forced(cfg);
-  EXPECT_EQ(forced.backend(), udp_backend::mmsg);
-
-  udp_config auto_cfg;
-  udp_endpoint detected(auto_cfg);
-  EXPECT_EQ(detected.backend(), udp_backend::mmsg);
-  io_uring_force_unavailable(false);
-
-  // The fallen-back endpoint still moves datagrams.
-  udp_endpoint tx;
-  tx.add_peer(2, "127.0.0.1", forced.port());
-  forced.add_peer(1, "127.0.0.1", tx.port());
-  ASSERT_TRUE(tx.send(2, to_bytes("fallback path")));
-  std::vector<std::pair<peer_id, buf::pkt_view>> got;
-  ASSERT_EQ(drain_views(forced, 1, got), 1u);
-  EXPECT_EQ(to_string(got[0].second.span()), "fallback path");
+  ASSERT_TRUE(legacy.send(2, to_bytes("legacy -> configured")));
+  ASSERT_TRUE(configured.send(1, to_bytes("configured -> legacy")));
+  std::vector<std::pair<peer_id, buf::pkt_view>> at_configured, at_legacy;
+  ASSERT_EQ(drain_views(configured, 1, at_configured), 1u);
+  ASSERT_EQ(drain_views(legacy, 1, at_legacy), 1u);
+  EXPECT_EQ(at_configured[0].first, 1u);
+  EXPECT_EQ(to_string(at_configured[0].second.span()), "legacy -> configured");
+  EXPECT_EQ(at_legacy[0].first, 2u);
+  EXPECT_EQ(to_string(at_legacy[0].second.span()), "configured -> legacy");
 }
 
 TEST(UdpBackend, RecvBatchViewsAliasesPoolSlabs) {
   // Zero-copy means the view's bytes live inside the endpoint's pool
   // arena — not in some per-datagram allocation.
-  udp_config cfg;
-  cfg.backend = udp_backend::mmsg;
-  udp_endpoint rx(cfg);
+  udp_endpoint rx(udp_config{});
   udp_endpoint tx;
   tx.add_peer(2, "127.0.0.1", rx.port());
   rx.add_peer(1, "127.0.0.1", tx.port());
@@ -225,7 +200,6 @@ TEST(UdpBackend, RecvBatchViewsAliasesPoolSlabs) {
 
 TEST(UdpBackend, OversizedDatagramTruncatedAndCounted) {
   udp_config cfg;
-  cfg.backend = udp_backend::mmsg;
   cfg.pool.slab_size = 128;  // far below the 512-byte datagram
   udp_endpoint rx(cfg);
   udp_endpoint tx;
@@ -254,343 +228,59 @@ TEST(UdpBackend, SendGatherMatchesConcatenation) {
   EXPECT_EQ(to_string(got[0].second.span()), "sealed-header|opaque payload");
 }
 
-// Same datagram set, byte-for-byte, through both backends. The uring arm
-// skips (not fails) where the kernel lacks io_uring.
-TEST(UdpBackend, MmsgUringEquivalence) {
-  if (!io_uring_runtime_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  udp_config mmsg_cfg;
-  mmsg_cfg.backend = udp_backend::mmsg;
-  udp_config uring_cfg;
-  uring_cfg.backend = udp_backend::uring;
-  udp_endpoint rx_mmsg(mmsg_cfg);
-  udp_endpoint rx_uring(uring_cfg);
-  ASSERT_EQ(rx_uring.backend(), udp_backend::uring);
-
-  udp_endpoint tx;
-  tx.add_peer(2, "127.0.0.1", rx_mmsg.port());
-  tx.add_peer(3, "127.0.0.1", rx_uring.port());
-  rx_mmsg.add_peer(1, "127.0.0.1", tx.port());
-  rx_uring.add_peer(1, "127.0.0.1", tx.port());
-
-  constexpr std::size_t kCount = 17;
-  std::vector<bytes> sent;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    sent.push_back(to_bytes("datagram " + std::to_string(i) + " payload"));
-    ASSERT_TRUE(tx.send(2, sent.back()));
-    ASSERT_TRUE(tx.send(3, sent.back()));
-  }
-
-  std::vector<std::pair<peer_id, buf::pkt_view>> via_mmsg, via_uring;
-  ASSERT_EQ(drain_views(rx_mmsg, kCount, via_mmsg), kCount);
-  ASSERT_EQ(drain_views(rx_uring, kCount, via_uring), kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(via_mmsg[i].first, 1u);
-    EXPECT_EQ(via_uring[i].first, 1u);
-    EXPECT_EQ(to_string(via_mmsg[i].second.span()), to_string(sent[i]));
-    EXPECT_EQ(to_string(via_uring[i].second.span()), to_string(sent[i]));
-  }
-  EXPECT_EQ(rx_uring.received(), kCount);
-  EXPECT_EQ(rx_uring.rx_errors(), 0u);
-}
-
-TEST(UdpBackend, UringPartialCompletion) {
-  if (!io_uring_runtime_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
+// Overload regression: a pool small enough to run dry while views are
+// held. A dry pool must read as "nothing delivered" (counted as pool
+// exhaustion), leave the waiting datagrams in the socket, and recover on
+// the next call once the views drop.
+TEST(UdpEndpoint, RxRecoversFromPoolExhaustion) {
   udp_config cfg;
-  cfg.backend = udp_backend::uring;
-  udp_endpoint rx(cfg);
-  ASSERT_EQ(rx.backend(), udp_backend::uring);
-  udp_endpoint tx;
-  tx.add_peer(2, "127.0.0.1", rx.port());
-  rx.add_peer(1, "127.0.0.1", tx.port());
-
-  // Fewer datagrams than the batch asks for: the drain returns what was
-  // posted and counts the short batch, exactly like the mmsg backend.
-  constexpr std::size_t kSent = 3;
-  static_assert(kSent < udp_endpoint::kBatchMax);
-  for (std::size_t i = 0; i < kSent; ++i) {
-    ASSERT_TRUE(tx.send(2, to_bytes("p" + std::to_string(i))));
-  }
-  std::vector<std::pair<peer_id, buf::pkt_view>> got;
-  ASSERT_EQ(drain_views(rx, kSent, got), kSent);
-  EXPECT_GE(rx.rx_partial_batches(), 1u);
-  EXPECT_EQ(rx.rx_errors(), 0u);
-
-  // And a genuinely idle drain is an rx_empty, not an error.
-  const auto before = rx.rx_empty();
-  got.clear();
-  EXPECT_EQ(rx.recv_batch_views(udp_endpoint::kBatchMax, got), 0u);
-  EXPECT_EQ(rx.rx_empty(), before + 1);
-}
-
-TEST(UdpBackend, UringBufferReplenish) {
-  if (!io_uring_runtime_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  // A deliberately tiny pool and slot count: every armed slot must be
-  // replenished with a fresh slab many times over, and consumed views must
-  // recycle fast enough to keep the ring armed.
-  udp_config cfg;
-  cfg.backend = udp_backend::uring;
-  cfg.uring_slots = 4;
   cfg.pool.slab_count = 8;
-  cfg.pool.cache_batch = 2;
   udp_endpoint rx(cfg);
-  ASSERT_EQ(rx.backend(), udp_backend::uring);
   udp_endpoint tx;
   tx.add_peer(2, "127.0.0.1", rx.port());
   rx.add_peer(1, "127.0.0.1", tx.port());
 
-  constexpr std::size_t kTotal = 64;  // 8x the slab count
-  std::size_t delivered = 0;
-  std::vector<std::pair<peer_id, buf::pkt_view>> got;
+  constexpr std::size_t kTotal = 24;  // 3x the slab count
   for (std::size_t i = 0; i < kTotal; ++i) {
-    ASSERT_TRUE(tx.send(2, to_bytes("r" + std::to_string(i))));
-    // Consume as we go so slabs recycle into the armed slots.
-    got.clear();
-    delivered += rx.recv_batch_views(udp_endpoint::kBatchMax, got);
+    ASSERT_TRUE(tx.send(2, to_bytes("x" + std::to_string(i))));
   }
-  for (int attempt = 0; attempt < 2000 && delivered < kTotal; ++attempt) {
+
+  // Hold every delivered view: the pool drains to zero.
+  std::vector<std::pair<peer_id, buf::pkt_view>> held;
+  ASSERT_EQ(drain_views(rx, cfg.pool.slab_count, held), cfg.pool.slab_count);
+  EXPECT_EQ(rx.pool_stats().outstanding, cfg.pool.slab_count);
+  const std::size_t before = held.size();
+  EXPECT_EQ(rx.recv_batch_views(udp_endpoint::kBatchMax, held), 0u);
+  EXPECT_EQ(held.size(), before);
+  EXPECT_GE(rx.pool_stats().exhausted, 1u);
+
+  // Drop the views: everything still waiting in the socket drains.
+  std::vector<std::string> seen;
+  for (auto& [from, view] : held) seen.push_back(to_string(view.span()));
+  held.clear();
+  std::vector<std::pair<peer_id, buf::pkt_view>> got;
+  for (int attempt = 0; attempt < 2000 && seen.size() < kTotal; ++attempt) {
     got.clear();
-    const std::size_t n = rx.recv_batch_views(udp_endpoint::kBatchMax, got);
-    if (n == 0) std::this_thread::sleep_for(1ms);
-    delivered += n;
+    if (rx.recv_batch_views(udp_endpoint::kBatchMax, got) == 0) {
+      std::this_thread::sleep_for(1ms);
+    }
+    for (auto& [from, view] : got) seen.push_back(to_string(view.span()));
   }
-  EXPECT_EQ(delivered, kTotal);
+  got.clear();
+  ASSERT_EQ(seen.size(), kTotal);
+  for (std::size_t i = 0; i < kTotal; ++i) EXPECT_EQ(seen[i], "x" + std::to_string(i));
+  EXPECT_EQ(rx.received(), kTotal);
   EXPECT_EQ(rx.rx_errors(), 0u);
-  got.clear();
-  // Nothing leaked: the only outstanding slabs are the armed rx slots.
-  EXPECT_LE(rx.pool_stats().outstanding, cfg.uring_slots);
-}
-
-// ---- ISSUE 8: full-duplex io_uring (batched zero-copy egress) --------
-
-// The same datagram set, byte for byte, whether egress goes through the
-// synchronous sendmmsg path or the uring tx ring. The receiver is mmsg in
-// both arms so only the tx backend varies.
-TEST(UdpTx, MmsgUringTxEquivalence) {
-  if (!io_uring_runtime_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  udp_config mmsg_cfg;
-  mmsg_cfg.backend = udp_backend::mmsg;
-  udp_config uring_cfg;
-  uring_cfg.backend = udp_backend::uring;
-  udp_endpoint tx_mmsg(mmsg_cfg);
-  udp_endpoint tx_uring(uring_cfg);
-  ASSERT_EQ(tx_uring.backend(), udp_backend::uring);
-#if INTEREDGE_HAS_IO_URING
-  ASSERT_NE(tx_uring.tx_ring(), nullptr);
-#endif
-
-  udp_endpoint rx_a, rx_b;
-  tx_mmsg.add_peer(2, "127.0.0.1", rx_a.port());
-  tx_uring.add_peer(2, "127.0.0.1", rx_b.port());
-  rx_a.add_peer(1, "127.0.0.1", tx_mmsg.port());
-  rx_b.add_peer(1, "127.0.0.1", tx_uring.port());
-
-  constexpr std::size_t kCount = 23;
-  std::vector<bytes> sent;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    sent.push_back(to_bytes("egress " + std::to_string(i) + " payload"));
-  }
-  EXPECT_EQ(tx_mmsg.send_batch(2, sent), kCount);
-  EXPECT_EQ(tx_uring.send_batch(2, sent), kCount);
-  ASSERT_TRUE(tx_uring.tx_drain());
-
-  std::vector<std::pair<peer_id, buf::pkt_view>> via_mmsg, via_uring;
-  ASSERT_EQ(drain_views(rx_a, kCount, via_mmsg), kCount);
-  ASSERT_EQ(drain_views(rx_b, kCount, via_uring), kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(to_string(via_mmsg[i].second.span()), to_string(sent[i]));
-    EXPECT_EQ(to_string(via_uring[i].second.span()), to_string(sent[i]));
-  }
-  // Both arms count kernel-accepted datagrams identically.
-  EXPECT_EQ(tx_mmsg.sent(), kCount);
-  EXPECT_EQ(tx_uring.sent(), kCount);
-  EXPECT_EQ(tx_uring.tx_inflight(), 0u);
-#if INTEREDGE_HAS_IO_URING
-  EXPECT_GE(tx_uring.tx_ring()->completions(), kCount);
-  EXPECT_EQ(tx_uring.tx_ring()->send_errors(), 0u);
-  // UDP sends are all-or-nothing at the datagram; a short send would mean
-  // the gather iovecs were mis-sized.
-  EXPECT_EQ(tx_uring.tx_ring()->short_sends(), 0u);
-  // The whole batch went out in far fewer enters than datagrams.
-  EXPECT_LT(tx_uring.tx_ring()->submit_batches(), kCount);
-#endif
-}
-
-// send_gather on the uring backend with a payload aliasing the rx pool:
-// the SQE gathers straight from the slab (no copy), the slab stays pinned
-// until the completion retires, and afterwards the pool is fully recycled
-// — release-exactly-on-CQE.
-TEST(UdpTx, GatherSlabPinReleasesOnCompletion) {
-  if (!io_uring_runtime_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  udp_config cfg;
-  cfg.backend = udp_backend::uring;
-  udp_endpoint fwd(cfg);  // receives into slabs, forwards out of them
-  ASSERT_EQ(fwd.backend(), udp_backend::uring);
-  udp_endpoint origin, sink;
-  origin.add_peer(2, "127.0.0.1", fwd.port());
-  fwd.add_peer(1, "127.0.0.1", origin.port());
-  fwd.add_peer(3, "127.0.0.1", sink.port());
-  sink.add_peer(2, "127.0.0.1", fwd.port());
-
-  ASSERT_TRUE(origin.send(2, to_bytes("payload-in-slab")));
-  std::vector<std::pair<peer_id, buf::pkt_view>> got;
-  ASSERT_EQ(drain_views(fwd, 1, got), 1u);
-  const const_byte_span payload = got[0].second.span();
-  const std::uint8_t* base = fwd.pool()->arena_base();
-  ASSERT_GE(payload.data(), base);  // precondition: it IS in the arena
-
-  const bytes head = to_bytes("sealed|");
-  // Observer reference: the refcount tells the pin story exactly (pool
-  // -wide `outstanding` also counts the local cache magazine, so it can't).
-  const buf::pkt_view keeper = got[0].second.clone();
-  EXPECT_EQ(keeper.slab().refcount(), 2u);  // rx view + keeper
-  ASSERT_TRUE(fwd.send_gather(3, head, payload));
-  // The staged send holds its own slab reference: dropping the rx view
-  // must NOT recycle the slab out from under the in-flight SQE.
-  got.clear();
-  EXPECT_EQ(keeper.slab().refcount(), 2u);  // keeper + the staged tx pin
-  ASSERT_TRUE(fwd.tx_drain());
-  EXPECT_EQ(fwd.tx_inflight(), 0u);
-
-  // Completion retired the pin: the keeper holds the only reference left.
-  EXPECT_EQ(keeper.slab().refcount(), 1u);
-
-  std::vector<std::pair<peer_id, buf::pkt_view>> relayed;
-  ASSERT_EQ(drain_views(sink, 1, relayed), 1u);
-  EXPECT_EQ(to_string(relayed[0].second.span()), "sealed|payload-in-slab");
-}
-
-// An error CQE (here: -EINVAL from a zero destination port) must retire
-// its slot — counted, slot recycled, nothing pinned forever.
-TEST(UdpTx, ErrorCompletionRecyclesSlot) {
-  if (!io_uring_runtime_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  udp_config cfg;
-  cfg.backend = udp_backend::uring;
-  udp_endpoint a(cfg);
-  ASSERT_EQ(a.backend(), udp_backend::uring);
-  a.add_peer(7, "127.0.0.1", 0);  // port 0: the kernel rejects the send
-
-  const bytes head = to_bytes("doomed-head");
-  ASSERT_TRUE(a.send_gather(7, head, {}));
-  ASSERT_TRUE(a.tx_drain());
-  EXPECT_EQ(a.tx_inflight(), 0u);
-#if INTEREDGE_HAS_IO_URING
-  ASSERT_NE(a.tx_ring(), nullptr);
-  EXPECT_GE(a.tx_ring()->send_errors(), 1u);
-#endif
-
-  // The slot is reusable: a real peer still works after the error.
-  udp_endpoint rx;
-  a.add_peer(8, "127.0.0.1", rx.port());
-  rx.add_peer(2, "127.0.0.1", a.port());
-  ASSERT_TRUE(a.send_gather(8, to_bytes("alive"), {}));
-  ASSERT_TRUE(a.tx_drain());
-  std::vector<std::pair<peer_id, buf::pkt_view>> got;
-  ASSERT_EQ(drain_views(rx, 1, got), 1u);
-  EXPECT_EQ(to_string(got[0].second.span()), "alive");
-}
-
-// The SEND_ZC probe is runtime, not compile-time: with zerocopy forced
-// off, staging falls back to plain SENDMSG, counts the fallback, and the
-// bytes on the wire are identical.
-TEST(UdpTx, ZerocopyProbeFallback) {
-  if (!io_uring_runtime_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-#if INTEREDGE_HAS_IO_URING
-  uring_tx::force_no_zerocopy(true);
-  udp_config cfg;
-  cfg.backend = udp_backend::uring;
-  cfg.uring_zc_threshold = 0;  // force ZC even for these tiny payloads
-  udp_endpoint a(cfg);
-  uring_tx::force_no_zerocopy(false);
-  ASSERT_NE(a.tx_ring(), nullptr);
-  EXPECT_FALSE(a.tx_ring()->zerocopy_active());
-
-  udp_endpoint rx;
-  a.add_peer(2, "127.0.0.1", rx.port());
-  rx.add_peer(1, "127.0.0.1", a.port());
-  ASSERT_TRUE(a.send_gather(2, to_bytes("head|"), to_bytes("copied payload")));
-  ASSERT_TRUE(a.tx_drain());
-  EXPECT_EQ(a.tx_ring()->zc_used(), 0u);
-  EXPECT_GE(a.tx_ring()->zc_fallback(), 1u);
-  std::vector<std::pair<peer_id, buf::pkt_view>> got;
-  ASSERT_EQ(drain_views(rx, 1, got), 1u);
-  EXPECT_EQ(to_string(got[0].second.span()), "head|copied payload");
-
-  // And with the force released, a fresh ring reflects the kernel's real
-  // capability; when active, traffic actually uses the ZC opcode.
-  udp_endpoint b(cfg);
-  ASSERT_NE(b.tx_ring(), nullptr);
-  if (b.tx_ring()->zerocopy_active()) {
-    b.add_peer(2, "127.0.0.1", rx.port());
-    rx.add_peer(3, "127.0.0.1", b.port());  // rx drops unknown sources
-    ASSERT_TRUE(b.send_gather(2, to_bytes("zc|"), to_bytes("notified payload")));
-    ASSERT_TRUE(b.tx_drain());
-    EXPECT_EQ(b.tx_ring()->send_errors(), 0u);
-    EXPECT_GE(b.tx_ring()->zc_used(), 1u);
-    EXPECT_EQ(b.tx_inflight(), 0u);  // data CQE + notif CQE both retired
-    got.clear();
-    ASSERT_EQ(drain_views(rx, 1, got), 1u);
-    EXPECT_EQ(to_string(got[0].second.span()), "zc|notified payload");
-  }
-#endif
-}
-
-// Tx telemetry mirror: the net.uring.tx.* metrics move in lockstep with
-// the ring's own counters.
-TEST(UdpTx, TelemetryMirrorsRingCounters) {
-  if (!io_uring_runtime_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  udp_config cfg;
-  cfg.backend = udp_backend::uring;
-  udp_endpoint a(cfg);
-  metrics_registry reg;
-  a.enable_telemetry(reg);
-  udp_endpoint rx;
-  a.add_peer(2, "127.0.0.1", rx.port());
-  rx.add_peer(1, "127.0.0.1", a.port());
-
-  const std::vector<bytes> burst(9, to_bytes("telemetry probe"));
-  EXPECT_EQ(a.send_batch(2, burst), burst.size());
-  ASSERT_TRUE(a.tx_drain());
-#if INTEREDGE_HAS_IO_URING
-  EXPECT_EQ(reg.get_counter("net.uring.tx.completions").value(),
-            a.tx_ring()->completions());
-  EXPECT_EQ(reg.get_counter("net.uring.tx.short_sends").value(),
-            a.tx_ring()->short_sends());
-  EXPECT_EQ(reg.get_counter("net.uring.tx.zc_used").value(), a.tx_ring()->zc_used());
-  EXPECT_EQ(reg.get_counter("net.uring.tx.zc_fallback").value(),
-            a.tx_ring()->zc_fallback());
-  EXPECT_EQ(reg.get_counter("net.uring.tx.submit_batches").value(),
-            a.tx_ring()->submit_batches());
-  EXPECT_EQ(static_cast<std::uint64_t>(reg.get_gauge("net.uring.tx.inflight_peak").value()),
-            a.tx_ring()->inflight_peak());
-  EXPECT_GE(a.tx_ring()->inflight_peak(), 1u);
-#endif
 }
 
 // The sanitizer-CI concurrency target (tools/ci_sanitizers.sh runs this
-// binary under tsan): a sharded SN forwards through a uring endpoint —
+// binary under tsan): a sharded SN forwards through a real endpoint —
 // worker threads produce into egress rings while the control thread
-// drains them into staged gather SQEs. Exercises every cross-thread edge
-// of the egress path under real completions.
+// drains them into gather sendmsg calls. Exercises every cross-thread
+// edge of the egress path over real sockets.
 TEST(UdpTx, ShardedEgressConcurrentDrain) {
-  udp_config sn_cfg;  // auto_detect: uring where available, mmsg otherwise
   udp_endpoint ep_host_a, ep_host_b;
-  udp_endpoint ep_sn(sn_cfg);
+  udp_endpoint ep_sn(udp_config{});
   event_loop loop;
 
   const peer_id id_a = ep_host_a.port();
@@ -607,7 +297,7 @@ TEST(UdpTx, ShardedEgressConcurrentDrain) {
                         [&](peer_id to, bytes d) { ep_sn.send(to, d); }, loop.scheduler(),
                         &route);
   sn.env().deploy(std::make_unique<core::testing::forwarder_module>());
-  // Forwards drain from the shard egress rings into staged gather sends.
+  // Forwards drain from the shard egress rings into gather sends.
   sn.pipes().set_send_gather([&](peer_id to, const_byte_span head, const_byte_span payload) {
     ep_sn.send_gather(to, head, payload);
   });
@@ -638,7 +328,6 @@ TEST(UdpTx, ShardedEgressConcurrentDrain) {
   loop.run_until_quiet(30ms, 5000ms);
   sn.wait_idle();
   loop.run_until_quiet(30ms, 2000ms);
-  ASSERT_TRUE(ep_sn.tx_drain());
 
   EXPECT_EQ(inbox.size(), static_cast<std::size_t>(kMsgs));
   // In parallel mode the forward accounting lives in the shard termini.
@@ -647,7 +336,6 @@ TEST(UdpTx, ShardedEgressConcurrentDrain) {
     forwarded += sn.shard_terminus_stats(i).forwarded;
   }
   EXPECT_EQ(forwarded, static_cast<std::uint64_t>(kMsgs));
-  EXPECT_EQ(ep_sn.tx_inflight(), 0u);
 }
 
 TEST(UdpEndpoint, PeerTableSurvivesGrowth) {

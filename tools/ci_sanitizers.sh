@@ -36,13 +36,12 @@ run_preset() {
   ctest --preset "$preset" -R 'trace_collector_test|path_trace_test' --output-on-failure
   # Zero-copy datapath (ISSUE 6): slab refcounts crossing threads and SPSC
   # rings (buf_pool_test's handoff/concurrent cases are the tsan targets),
-  # plus the real-socket transport — both rx backends, in-place decrypt
-  # windows over pool slabs, view lifetimes through the event loop.
-  # Full-duplex egress (ISSUE 8) rides the same net_test pass: the UdpTx
-  # cases pin completion-driven slab release (tx pins racing rx recycling)
-  # and ShardedEgressConcurrentDrain pushes worker-shard forwards through
-  # the uring tx ring while the control thread flushes — the tsan target
-  # for the egress half.
+  # plus the real-socket transport — the one recvmmsg rx path, in-place
+  # decrypt windows over pool slabs, view lifetimes through the event loop.
+  # Egress rides the same net_test pass: ShardedEgressConcurrentDrain
+  # pushes worker-shard forwards out through gather sendmsg while the
+  # control thread drains the egress rings — the tsan target for the
+  # egress half.
   echo "== $preset: slab pool + transport (focused) =="
   ctest --preset "$preset" -R 'buf_pool_test|net_test' --output-on-failure
   # SLO health plane (ISSUE 7): the flight recorder's multi-producer
