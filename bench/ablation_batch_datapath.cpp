@@ -219,8 +219,8 @@ void BM_IngressDatapath_Telemetry(benchmark::State& state) {
 
 // Same chain with the fault-tolerant lifecycle enabled the way a live SN
 // runs it: pipe liveness armed on the receiver (every authenticated rx
-// resets the peer's miss counter), a slow-path policy installed (deadline
-// stamped per miss, high-water shed check), and the recurring work — a
+// resets the peer's miss counter), a slow-path policy installed
+// (high-water shed check), and the recurring work — a
 // liveness tick plus a decision-cache snapshot, standing in for the
 // keepalive and checkpoint timers — amortized at a 10ms-vs-1M-pkts/s
 // realistic period. The acceptance bar is <2% off BM_IngressDatapath at
@@ -229,9 +229,7 @@ void BM_IngressDatapath_Robustness(benchmark::State& state) {
   datapath dp;
   manual_clock clk;
   dp.receiver->enable_liveness(clk, {.keepalive_interval = std::chrono::milliseconds(10)});
-  dp.terminus->set_slowpath_policy({.clk = &clk,
-                                    .deadline = std::chrono::milliseconds(5),
-                                    .high_water = 1024});
+  dp.terminus->set_slowpath_policy({.high_water = 1024});
 
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   const std::vector<bytes> wires = dp.preseal(batch, 256);
@@ -275,9 +273,7 @@ void BM_IngressDatapath_Profiled(benchmark::State& state) {
   datapath dp;
   manual_clock clk;
   dp.receiver->enable_liveness(clk, {.keepalive_interval = std::chrono::milliseconds(10)});
-  dp.terminus->set_slowpath_policy({.clk = &clk,
-                                    .deadline = std::chrono::milliseconds(5),
-                                    .high_water = 1024});
+  dp.terminus->set_slowpath_policy({.high_water = 1024});
 
   prof::profiler profiler(prof::profiler_config{.sample_hz = 97, .ring_slots = 4096});
   profiler.register_current_thread("bench");
@@ -337,9 +333,7 @@ void ingress_path_tracing(benchmark::State& state, bool sampled) {
   datapath dp;
   manual_clock clk;
   dp.receiver->enable_liveness(clk, {.keepalive_interval = std::chrono::milliseconds(10)});
-  dp.terminus->set_slowpath_policy({.clk = &clk,
-                                    .deadline = std::chrono::milliseconds(5),
-                                    .high_water = 1024});
+  dp.terminus->set_slowpath_policy({.high_water = 1024});
   trace::path_recorder rec(trace::path_recorder::config{.node = 2, .capacity = 4096});
   dp.terminus->enable_path_tracing(&rec);
 
@@ -399,10 +393,8 @@ void BM_IngressDatapath_PathTracingSampled(benchmark::State& state) {
 }
 
 // SLO health plane (ISSUE 7) layered on the ingress chain, costed the way
-// a live SN pays for it: each worker pump bumps a relaxed per-shard
-// heartbeat word the watchdog scans, and an armed flight recorder sits
-// ready (an append only happens on events — per-op price in
-// ablation_observability). Everything else the plane does — snapshotting
+// a live SN pays for it: an armed flight recorder sits ready (an append
+// only happens on events — per-op price in ablation_observability). Everything else the plane does — snapshotting
 // an SN-sized registry, the rollup tick into the window ring, the
 // four-burn-window evaluation per SLO target, exposition gauges — rides
 // the 100ms control tick, amortized here at the robustness arm's
@@ -411,7 +403,7 @@ void BM_IngressDatapath_PathTracingSampled(benchmark::State& state) {
 void BM_IngressDatapath_HealthPlane(benchmark::State& state) {
   datapath dp;
 
-  // The merged registry a health tick rolls up, at SN-scale cardinality.
+  // The registry a health tick rolls up, at SN-scale cardinality.
   metrics_registry reg;
   for (int i = 0; i < 48; ++i) reg.get_counter("sn.family." + std::to_string(i));
   for (int i = 0; i < 8; ++i) reg.get_histogram("sn.stage." + std::to_string(i));
@@ -424,7 +416,6 @@ void BM_IngressDatapath_HealthPlane(benchmark::State& state) {
   tgt.threshold_ns = 2'000'000;
   mon.add_target(tgt);
   flight_recorder recorder(flight_recorder::config{.capacity = 1024});
-  std::atomic<std::uint64_t> heartbeat{0};
 
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   const std::vector<bytes> wires = dp.preseal(batch, 256);
@@ -438,20 +429,18 @@ void BM_IngressDatapath_HealthPlane(benchmark::State& state) {
     } else {
       dp.receiver->on_datagram_batch(1, spans);
     }
-    heartbeat.fetch_add(1, std::memory_order_relaxed);  // the pump's beat
     if ((++iter & 0xfff) == 0) {
-      // The control thread's health tick: mutate a few series the way live
-      // traffic would, roll the snapshot up, evaluate burn rates, expose.
+      // The health tick: mutate a few series the way live traffic would,
+      // roll the snapshot up, evaluate burn rates, expose.
       reg.get_counter("sn.family.0").add(static_cast<std::uint64_t>(batch));
       reg.get_histogram("sn.stage.0").record(1'000'000 + (iter & 0xffff));
-      benchmark::DoNotOptimize(heartbeat.load(std::memory_order_relaxed));
       ns += 100'000'000;  // 100ms cadence
       ts.tick(reg, time_point(nanoseconds(ns)));
       mon.evaluate(time_point(nanoseconds(ns)));
       mon.expose(reg);
       recorder.record(fr_event{.time_ns = static_cast<std::uint64_t>(ns),
                                .kind = fr_kind::gauge,
-                               .a = heartbeat.load(std::memory_order_relaxed)});
+                               .a = iter});
     }
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));

@@ -20,9 +20,8 @@
 // the event-loop thread to CPU N (e.g. --pin=0).
 //
 // The SLO health plane (ISSUE 7) runs on the SN for the duration of the
-// demo: sliding-window rollups over the merged registry, a burn-rate SLO
-// on the ingress stage latency, the shard watchdog, and the black-box
-// flight recorder. --dump-blackbox freezes the box at exit (manual
+// demo: sliding-window rollups over the SN's registry, a burn-rate SLO on
+// the ingress stage latency, and the black-box flight recorder. --dump-blackbox freezes the box at exit (manual
 // trigger) and prints the postmortem JSON.
 #include <cstdio>
 
@@ -129,9 +128,9 @@ int main(int argc, char** argv) {
     ++delivered;
   });
 
-  // SLO health plane (ISSUE 7): a 20ms health tick rolls the merged
-  // registry into the sliding-window store, scans the shard watchdog and
-  // evaluates a burn-rate SLO on the ingress stage latency. Ticks are
+  // SLO health plane (ISSUE 7): a 20ms health tick rolls the SN's
+  // registry into the sliding-window store and evaluates a burn-rate SLO
+  // on the ingress stage latency. Ticks are
   // bounded so the event loop's timer queue drains and run_until_quiet
   // can return. Demo-scale windows: a real deployment keeps the SRE-book
   // defaults (1m/5m fast, 30m/6h slow).

@@ -52,11 +52,6 @@ echo
 # live in ablation_observability below.
 run_gbench ablation_batch_datapath --benchmark_min_time=0.05
 echo
-# Multi-core datapath sweep: workers 0/1/2/4/8 x feed batch 1/32. Each
-# result row carries a "workers" counter (and per-shard hit rates) so the
-# --json output is machine-comparable across worker counts.
-run_gbench ablation_parallel_datapath --benchmark_min_time=0.05
-echo
 run_gbench ablation_observability --benchmark_min_time=0.05
 echo
 ./build/bench/ablation_services --max_subscribers=64

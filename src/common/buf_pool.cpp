@@ -60,8 +60,9 @@ buf_pool::buf_pool(pool_config cfg)
       ::aligned_alloc(kCacheLine, slab_size_ * slab_count_));
   if (arena_ == nullptr) throw std::bad_alloc();
   if (cfg.numa_node >= 0) {
-    // Advisory NUMA placement: a shard-owned pool lands its slabs on the
-    // shard's node. Failure (no mbind, single-node box) costs locality only.
+    // Advisory NUMA placement: the pool lands its slabs on the node of the
+    // core that uses them. Failure (no mbind, single-node box) costs
+    // locality only.
     sys::bind_memory_to_node(arena_, slab_size_ * slab_count_, cfg.numa_node);
   }
   ctl_ = std::make_unique<ctl[]>(slab_count_);

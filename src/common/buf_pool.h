@@ -1,19 +1,18 @@
 // Reference-counted fixed-slab buffer pool for the zero-copy datapath.
 //
 // The SN datapath used to copy every packet between owned `bytes` at each
-// stage (udp rx -> steer -> shard decrypt -> terminus). ROADMAP item 2
-// replaces those copies with slab references: the transport receives
-// straight into pool slabs, and a non-owning `pkt_view` window travels
-// through peek/steer, the shard SPSC rings and the terminus. A slab goes
-// back on the free list when the last reference drops, wherever that
-// happens — so a view can be handed from the control thread to a worker
-// shard (or cloned for egress) without any copy and without the pool
+// stage (udp rx -> decrypt -> terminus). Slab references replace those
+// copies: the transport receives straight into pool slabs, and a
+// non-owning `pkt_view` window travels through in-place decrypt and the
+// terminus. A slab goes back on the free list when the last reference
+// drops, wherever that happens — so a view can be handed to another
+// thread (or cloned for egress) without any copy and without the pool
 // caring which thread finishes with it.
 //
 //   buf_pool  — one contiguous cache-line-aligned arena of fixed slabs
 //               (sized for MTU + headroom) with intrusive per-slab atomic
 //               refcounts and a mutex-guarded global free list
-//   cache     — a per-owner (per endpoint / per shard) free-list cache:
+//   cache     — a per-owner (e.g. per endpoint) free-list cache:
 //               allocations pop locally and refill from the global list a
 //               batch at a time, so the steady-state rx path takes the
 //               pool mutex once per `cache_batch` packets

@@ -26,7 +26,7 @@ class real_clock final : public clock {
 };
 
 // Manually advanced clock for unit tests and the simulator. The tick is
-// stored in a relaxed atomic: worker-shard threads read the clock (e.g.
+// stored in a relaxed atomic: other threads may read the clock (e.g.
 // decision-cache TTL checks) while the owning thread advances it, and a
 // torn read of virtual time must not be a data race.
 class manual_clock final : public clock {

@@ -1,11 +1,8 @@
 #include "common/cpu_topology.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <thread>
+#include <cstdint>
 
 #ifdef __linux__
-#include <dirent.h>
 #include <sched.h>
 #include <sys/syscall.h>
 #include <unistd.h>
@@ -13,140 +10,16 @@
 
 namespace interedge::sys {
 
-namespace {
-
+bool pin_thread_to_cpu(int cpu) {
 #ifdef __linux__
-// Reads a small sysfs file into `out` (no trailing newline). False when
-// the file is unreadable.
-bool read_sysfs(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char buffer[4096];
-  const std::size_t n = std::fread(buffer, 1, sizeof(buffer) - 1, f);
-  std::fclose(f);
-  buffer[n] = '\0';
-  out.assign(buffer);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
-  return true;
-}
-#endif
-
-topology fallback_topology() {
-  topology t;
-  numa_node n;
-  n.id = 0;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  n.cpus.reserve(hw);
-  for (unsigned i = 0; i < hw; ++i) n.cpus.push_back(static_cast<int>(i));
-  t.nodes.push_back(std::move(n));
-  return t;
-}
-
-}  // namespace
-
-std::vector<int> parse_cpulist(const std::string& s) {
-  std::vector<int> cpus;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t end = s.find(',', pos);
-    if (end == std::string::npos) end = s.size();
-    const std::string chunk = s.substr(pos, end - pos);
-    pos = end + 1;
-    if (chunk.empty()) continue;
-    int lo = 0, hi = 0;
-    if (std::sscanf(chunk.c_str(), "%d-%d", &lo, &hi) == 2) {
-      if (lo < 0 || hi < lo) continue;  // malformed range: skip, not fatal
-      for (int c = lo; c <= hi; ++c) cpus.push_back(c);
-    } else if (std::sscanf(chunk.c_str(), "%d", &lo) == 1) {
-      if (lo >= 0) cpus.push_back(lo);
-    }
-  }
-  std::sort(cpus.begin(), cpus.end());
-  cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());
-  return cpus;
-}
-
-topology probe_topology() {
-#ifdef __linux__
-  topology t;
-  DIR* dir = ::opendir("/sys/devices/system/node");
-  if (dir != nullptr) {
-    while (dirent* e = ::readdir(dir)) {
-      int id = -1;
-      if (std::sscanf(e->d_name, "node%d", &id) != 1 || id < 0) continue;
-      std::string list;
-      if (!read_sysfs("/sys/devices/system/node/node" + std::to_string(id) + "/cpulist",
-                      list)) {
-        continue;
-      }
-      numa_node n;
-      n.id = id;
-      n.cpus = parse_cpulist(list);
-      if (!n.cpus.empty()) t.nodes.push_back(std::move(n));
-    }
-    ::closedir(dir);
-  }
-  if (!t.nodes.empty()) {
-    std::sort(t.nodes.begin(), t.nodes.end(),
-              [](const numa_node& a, const numa_node& b) { return a.id < b.id; });
-    return t;
-  }
-#endif
-  return fallback_topology();
-}
-
-const topology& topology::get() {
-  static const topology t = probe_topology();
-  return t;
-}
-
-std::size_t topology::total_cpus() const {
-  std::size_t n = 0;
-  for (const numa_node& node : nodes) n += node.cpus.size();
-  return n;
-}
-
-int topology::node_of_cpu(int cpu) const {
-  for (const numa_node& node : nodes) {
-    if (std::binary_search(node.cpus.begin(), node.cpus.end(), cpu)) return node.id;
-  }
-  return -1;
-}
-
-bool pin_thread_to_cpus(const std::vector<int>& cpus) {
-#ifdef __linux__
-  if (cpus.empty()) return false;
+  if (cpu < 0 || cpu >= CPU_SETSIZE) return false;
   cpu_set_t set;
   CPU_ZERO(&set);
-  bool any = false;
-  for (int c : cpus) {
-    if (c >= 0 && c < CPU_SETSIZE) {
-      CPU_SET(c, &set);
-      any = true;
-    }
-  }
-  if (!any) return false;
+  CPU_SET(cpu, &set);
   return ::sched_setaffinity(0, sizeof(set), &set) == 0;
 #else
-  (void)cpus;
+  (void)cpu;
   return false;
-#endif
-}
-
-bool pin_thread_to_cpu(int cpu) { return pin_thread_to_cpus({cpu}); }
-
-bool pin_thread_to_node(int node) {
-  for (const numa_node& n : topology::get().nodes) {
-    if (n.id == node) return pin_thread_to_cpus(n.cpus);
-  }
-  return false;
-}
-
-int current_cpu() {
-#ifdef __linux__
-  return ::sched_getcpu();
-#else
-  return -1;
 #endif
 }
 

@@ -12,7 +12,6 @@ const char* fr_kind_name(fr_kind k) {
     case fr_kind::span: return "span";
     case fr_kind::lifecycle: return "lifecycle";
     case fr_kind::alert: return "alert";
-    case fr_kind::watchdog: return "watchdog";
     case fr_kind::trigger: return "trigger";
     case fr_kind::gauge: return "gauge";
   }
@@ -22,7 +21,7 @@ const char* fr_kind_name(fr_kind k) {
 std::string fr_trigger_names(std::uint32_t mask) {
   static constexpr std::pair<std::uint32_t, const char*> kNames[] = {
       {kTrigPeerDown, "peer_down"}, {kTrigFailover, "failover"}, {kTrigShed, "shed"},
-      {kTrigSloPage, "slo_page"},   {kTrigWatchdog, "watchdog"}, {kTrigManual, "manual"},
+      {kTrigSloPage, "slo_page"},   {kTrigManual, "manual"},
   };
   std::string out;
   for (const auto& [bit, name] : kNames) {
@@ -45,10 +44,17 @@ void flight_recorder::record(const fr_event& e) {
   }
   const std::uint64_t t = cursor_.fetch_add(1, std::memory_order_relaxed);
   slot& s = slots_[t & mask_];
-  // Odd generation marks the slot in-flight; payload words are plain
-  // relaxed atomic stores (no UB under concurrent overwrite); the even
-  // release store publishes everything to a validating reader.
-  s.seq.store(2 * t + 1, std::memory_order_relaxed);
+  recorded_.fetch_add(1, std::memory_order_relaxed);
+  // Odd generation marks the slot in-flight. Claiming it is a CAS from an
+  // older even generation: a slot mid-write (odd) or already past this
+  // lap belongs to a newer event, and ours is simply overwritten. The
+  // fence keeps the payload stores from becoming visible before the odd
+  // mark; the even release store publishes them to a validating reader.
+  std::uint64_t cur = s.seq.load(std::memory_order_relaxed);
+  do {
+    if ((cur & 1) != 0 || cur > 2 * t) return;
+  } while (!s.seq.compare_exchange_weak(cur, 2 * t + 1, std::memory_order_relaxed));
+  std::atomic_thread_fence(std::memory_order_release);
   s.words[0].store(e.time_ns, std::memory_order_relaxed);
   s.words[1].store((static_cast<std::uint64_t>(e.kind) << 32) | e.code,
                    std::memory_order_relaxed);
@@ -56,7 +62,6 @@ void flight_recorder::record(const fr_event& e) {
   s.words[3].store(e.b, std::memory_order_relaxed);
   s.words[4].store(e.c, std::memory_order_relaxed);
   s.seq.store(2 * t + 2, std::memory_order_release);
-  recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void flight_recorder::trigger(std::uint32_t trig, std::uint64_t time_ns, std::uint64_t a,

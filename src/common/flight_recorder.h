@@ -3,14 +3,18 @@
 // so every peer-down, failover, shed watermark or SLO page comes with a
 // postmortem of what the node was doing right before it.
 //
-// Write side is wait-free and multi-producer: a writer claims a ticket
+// Write side is lock-free and multi-producer: a writer claims a ticket
 // with one fetch_add and publishes into slot (ticket & mask) under a
 // seqlock-style generation — the slot's sequence goes odd (2t+1) before
-// the payload words are stored and even (2t+2, release) after. Every slot
-// word is an atomic, so concurrent overwrite is a benign data race to the
-// language (no UB, TSan-clean); the reader validates that a slot's
-// sequence is even and unchanged across its read and simply skips slots
-// caught mid-overwrite. Recording costs a handful of relaxed stores —
+// the payload words are stored and even (2t+2, release) after. The odd
+// mark is a compare-exchange from an older even generation, so two
+// writers a whole lap apart can never interleave their words in one slot:
+// a writer that finds the slot mid-write or already holding a newer lap
+// leaves it alone (its event counts as recorded and then overwritten,
+// which a newer lap does to it anyway). Every slot word is an atomic, so
+// a reader racing a writer is a benign data race to the language (no UB,
+// TSan-clean); the reader validates that a slot's sequence is even and
+// unchanged across its read and simply skips slots caught mid-overwrite. Recording costs a handful of relaxed stores —
 // cheap enough to feed from the control thread's span drain without a
 // measurable datapath tax.
 //
@@ -34,7 +38,6 @@ enum class fr_kind : std::uint8_t {
   span = 0,   // a drained path span (a/b/c = trace id, service, duration)
   lifecycle,  // node event: peer down, failover, rekey (code = annotations)
   alert,      // SLO state transition (code = new state, a = prev)
-  watchdog,   // stalled-shard detection (a = shard, b = heartbeat)
   trigger,    // the event that armed/fired a freeze (code = trigger bit)
   gauge,      // a sampled health gauge (a = value)
 };
@@ -46,7 +49,6 @@ inline constexpr std::uint32_t kTrigPeerDown = 1u << 0;
 inline constexpr std::uint32_t kTrigFailover = 1u << 1;
 inline constexpr std::uint32_t kTrigShed = 1u << 2;
 inline constexpr std::uint32_t kTrigSloPage = 1u << 3;
-inline constexpr std::uint32_t kTrigWatchdog = 1u << 4;
 inline constexpr std::uint32_t kTrigManual = 1u << 5;
 std::string fr_trigger_names(std::uint32_t mask);
 
@@ -64,12 +66,12 @@ class flight_recorder {
   struct config {
     std::size_t capacity = 1024;  // ring slots, rounded up to a power of two
     // Which triggers freeze the ring; others still record as events.
-    std::uint32_t trigger_mask = kTrigPeerDown | kTrigFailover | kTrigShed | kTrigSloPage |
-                                 kTrigWatchdog | kTrigManual;
+    std::uint32_t trigger_mask =
+        kTrigPeerDown | kTrigFailover | kTrigShed | kTrigSloPage | kTrigManual;
   };
   explicit flight_recorder(config cfg);
 
-  // Wait-free, any thread. After a freeze, records are dropped (counted).
+  // Lock-free, any thread. After a freeze, records are dropped (counted).
   void record(const fr_event& e);
 
   // Records a trigger event, then freezes the ring if `trig` is armed and

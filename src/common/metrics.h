@@ -162,10 +162,9 @@ class metrics_registry {
 
   // Accumulates every metric of `other` into this registry, interning
   // families on demand: counters/gauges/sharded counters add their values,
-  // histograms merge bucketwise. Merging N per-shard registries into a
-  // fresh one yields the global exposition view (stats_snapshot,
-  // export_prometheus) without ever sharing hot-path metric objects
-  // across threads.
+  // histograms merge bucketwise. Merging N per-thread registries into a
+  // fresh one yields one exposition view without ever sharing hot-path
+  // metric objects across threads.
   void merge_from(const metrics_registry& other);
 
   // Deterministic human-readable dump: counters, gauges and sharded

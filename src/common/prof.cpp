@@ -37,11 +37,9 @@ namespace interedge::prof {
 
 const char* cycle_stage_name(cycle_stage s) {
   switch (s) {
-    case cycle_stage::peek_steer: return "peek_steer";
     case cycle_stage::decrypt: return "decrypt";
     case cycle_stage::terminus: return "terminus";
     case cycle_stage::slowpath: return "slowpath";
-    case cycle_stage::egress: return "egress";
   }
   return "?";
 }

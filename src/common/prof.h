@@ -26,8 +26,8 @@
 // function table.
 //
 // Attribution side. cycle_scope{stage} is a batch-granularity RAII rdtsc
-// bracket over the five datapath stages (peek/steer, decrypt, terminus,
-// slow-path, egress). Scopes nest: a child's cycles are subtracted from
+// bracket over the three datapath stages (decrypt, terminus, slow-path;
+// egress seal and send run inside terminus). Scopes nest: a child's cycles are subtracted from
 // its parent, so per-stage totals are self-time and sum without double
 // counting. Totals land in a thread-local cycle_set (installed with
 // scoped_cycle_set, mirroring trace::scoped_tracer) that the health tick
@@ -53,13 +53,11 @@ namespace interedge::prof {
 // ---- rdtsc cycle attribution -------------------------------------------
 
 enum class cycle_stage : std::uint8_t {
-  peek_steer = 0,  // batched header peek + SipHash flow steering
-  decrypt,         // PSP open of sealed ILP headers (batch)
-  terminus,        // fast-path verdict dispatch over the decrypted batch
-  slowpath,        // slow-path channel drain + service dispatch
-  egress,          // shard egress drain / gather send
+  decrypt = 0,  // PSP open of sealed ILP headers (batch)
+  terminus,     // verdict dispatch over the decrypted batch, egress included
+  slowpath,     // slow-path channel drain + service dispatch
 };
-inline constexpr std::size_t kCycleStageCount = 5;
+inline constexpr std::size_t kCycleStageCount = 3;
 const char* cycle_stage_name(cycle_stage s);
 
 inline std::uint64_t rdtsc() {

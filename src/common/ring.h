@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,19 +46,6 @@ class spsc_ring {
     return value;
   }
 
-  // Batch producer: moves as many of `values` in as fit, front first, with
-  // one release store for the whole run. Returns the number consumed —
-  // callers treat a short count as ring-full backpressure.
-  std::size_t try_push_batch(std::span<T> values) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    const std::size_t free = mask_ - ((head - tail) & mask_);
-    const std::size_t n = std::min(free, values.size());
-    for (std::size_t i = 0; i < n; ++i) slots_[(head + i) & mask_] = std::move(values[i]);
-    if (n > 0) head_.store((head + n) & mask_, std::memory_order_release);
-    return n;
-  }
-
   // Batch consumer: pops up to `max` items into `out`, one acquire load and
   // one release store for the whole run. Returns the number appended.
   std::size_t try_pop_batch(std::vector<T>& out, std::size_t max) {
@@ -76,21 +62,7 @@ class spsc_ring {
     return tail_.load(std::memory_order_acquire) == head_.load(std::memory_order_acquire);
   }
 
-  // Approximate occupancy: exact from the consumer's thread, a safe
-  // snapshot from anywhere else (both indices are loaded acquire).
-  std::size_t size_approx() const {
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    return (head - tail) & mask_;
-  }
-
   std::size_t capacity() const { return mask_; }
-
-  // Backing storage, exposed for advisory NUMA placement (mbind the slots
-  // onto the consumer's node). Construction-time only — never while the
-  // ring carries traffic.
-  void* storage() { return slots_.data(); }
-  std::size_t storage_bytes() const { return slots_.size() * sizeof(T); }
 
  private:
   std::vector<T> slots_;

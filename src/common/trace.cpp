@@ -135,7 +135,6 @@ std::string annotation_names(std::uint16_t annotations) {
   static constexpr std::pair<std::uint16_t, const char*> kNames[] = {
       {kAnnoShed, "shed"},
       {kAnnoDrop, "drop"},
-      {kAnnoDeadlineExpired, "deadline_expired"},
       {kAnnoPeerDown, "peer_down"},
       {kAnnoFailover, "failover"},
       {kAnnoRekey, "rekey"},

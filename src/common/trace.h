@@ -187,7 +187,6 @@ const char* span_kind_name(span_kind k);
 // Annotation bits: what the datapath did to (or around) the packet.
 inline constexpr std::uint16_t kAnnoShed = 1 << 0;             // TTL'd default verdict
 inline constexpr std::uint16_t kAnnoDrop = 1 << 1;             // drop verdict applied
-inline constexpr std::uint16_t kAnnoDeadlineExpired = 1 << 2;  // slow path aged out
 inline constexpr std::uint16_t kAnnoPeerDown = 1 << 3;         // liveness declared a peer down
 inline constexpr std::uint16_t kAnnoFailover = 1 << 4;         // standby restored a checkpoint
 inline constexpr std::uint16_t kAnnoRekey = 1 << 5;            // tunnel handshake / rekey
@@ -210,9 +209,9 @@ struct path_span {
   std::uint64_t duration_ns = 0;
 };
 
-// Per-thread span sink: the emitting thread (a worker shard, the control
-// thread, a host stack) is the single producer; the draining thread (the
-// control thread / the collector's owner) is the single consumer. Emission
+// Per-thread span sink: the emitting thread (an SN, a host stack) is the
+// single producer; the draining thread (the collector's owner) is the
+// single consumer. Emission
 // into a full ring is a counted drop, never a block — tracing must not
 // create backpressure.
 //

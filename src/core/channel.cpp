@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "common/serial.h"
-#include "common/trace.h"
 
 namespace interedge::core {
 namespace {
@@ -51,10 +50,9 @@ cache_key decode_key(reader& r) {
 }  // namespace
 
 bytes slowpath_request::encode() const {
-  writer w(40 + header_bytes.size() + payload.size());
+  writer w(32 + header_bytes.size() + payload.size());
   w.u64(token);
   w.u64(l3_src);
-  w.u64(deadline_ns);
   w.blob(header_bytes);
   w.blob(payload);
   return w.take();
@@ -65,7 +63,6 @@ slowpath_request slowpath_request::decode(const_byte_span data) {
   slowpath_request req;
   req.token = r.u64();
   req.l3_src = r.u64();
-  req.deadline_ns = r.u64();
   const const_byte_span h = r.blob();
   req.header_bytes.assign(h.begin(), h.end());
   const const_byte_span p = r.blob();
@@ -76,7 +73,6 @@ slowpath_request slowpath_request::decode(const_byte_span data) {
 bytes slowpath_response::encode() const {
   writer w(64);
   w.u64(token);
-  w.u16(annotations);
   encode_decision(w, verdict);
   w.varint(cache_inserts.size());
   for (const auto& [key, value] : cache_inserts) {
@@ -96,7 +92,6 @@ slowpath_response slowpath_response::decode(const_byte_span data) {
   reader r(data);
   slowpath_response resp;
   resp.token = r.u64();
-  resp.annotations = r.u16();
   resp.verdict = decode_decision(r);
   const std::uint64_t n_inserts = r.varint();
   for (std::uint64_t i = 0; i < n_inserts; ++i) {
@@ -199,69 +194,6 @@ std::optional<slowpath_response> ring_channel::poll_wait() {
                               [this] { return !responses_.empty(); });
   consumer_parked_.store(false, std::memory_order_release);
   return responses_.try_pop();
-}
-
-// ---- slowpath_hub ----------------------------------------------------
-
-slowpath_hub::slowpath_hub(slowpath_handler handler, std::size_t shards, std::size_t depth,
-                           wake_fn wake)
-    : handler_(std::move(handler)), wake_(std::move(wake)) {
-  endpoints_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    endpoints_.push_back(std::make_unique<endpoint_impl>(depth));
-  }
-}
-
-std::size_t slowpath_hub::pump() {
-  std::size_t served = 0;
-  std::vector<bool> touched(endpoints_.size(), false);
-  for (std::size_t src = 0; src < endpoints_.size(); ++src) {
-    while (auto req = endpoints_[src]->requests.try_pop()) {
-      slowpath_response resp;
-      if (deadline_clock_ && req->deadline_ns != 0 &&
-          static_cast<std::uint64_t>(
-              deadline_clock_->now().time_since_epoch().count()) > req->deadline_ns) {
-        // Dead on arrival: the request aged out in the ring. Synthesize a
-        // drop so the shard's in-flight window drains without stale work.
-        resp.token = req->token;
-        resp.verdict = decision::drop_packet();
-        resp.annotations |= trace::kAnnoDeadlineExpired;
-        ++expired_;
-        if (expired_counter_) expired_counter_->add();
-      } else {
-        resp = handler_(std::move(*req));
-      }
-      // The terminus seeds its tokens with token_seed(shard), so the
-      // response routes itself; fall back to the requesting shard for
-      // tokenless (synthetic) traffic.
-      std::size_t dst = src;
-      if (resp.token >= (std::uint64_t{1} << kShardTokenShift)) {
-        const std::size_t by_token = shard_of_token(resp.token);
-        if (by_token < endpoints_.size()) dst = by_token;
-      }
-      while (!endpoints_[dst]->responses.try_push(std::move(resp))) {
-        // Ring momentarily full: the owning worker drains responses every
-        // loop iteration, so ring its doorbell and wait it out.
-        if (wake_) wake_(dst);
-        spin_pause();
-      }
-      touched[dst] = true;
-      ++served;
-    }
-  }
-  if (wake_) {
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-      if (touched[i]) wake_(i);
-    }
-  }
-  return served;
-}
-
-bool slowpath_hub::idle() const {
-  for (const auto& ep : endpoints_) {
-    if (!ep->requests.empty() || !ep->responses.empty()) return false;
-  }
-  return true;
 }
 
 // ---- ipc_channel -----------------------------------------------------

@@ -30,8 +30,6 @@
 #include <thread>
 
 #include "common/bytes.h"
-#include "common/clock.h"
-#include "common/metrics.h"
 #include "common/ring.h"
 #include "core/service_module.h"
 
@@ -43,10 +41,6 @@ namespace interedge::core {
 struct slowpath_request {
   std::uint64_t token = 0;  // correlates the async response
   peer_id l3_src = 0;
-  // Absolute expiry (clock ns since epoch); 0 = no deadline. A request
-  // still queued past its deadline is expired by whoever dequeues it
-  // (slowpath_hub::pump or the SN handler) instead of doing stale work.
-  std::uint64_t deadline_ns = 0;
   bytes header_bytes;  // encoded ILP header
   bytes payload;
 
@@ -57,10 +51,6 @@ struct slowpath_request {
 struct slowpath_response {
   std::uint64_t token = 0;
   decision verdict;
-  // trace::kAnno* bits describing how the verdict came about (e.g.
-  // kAnnoDeadlineExpired for a hub-synthesized drop); the terminus folds
-  // them into the packet's path span.
-  std::uint16_t annotations = 0;
   std::vector<std::pair<cache_key, decision>> cache_inserts;
   std::vector<outbound> sends;
 
@@ -124,75 +114,6 @@ class ring_channel final : public slowpath_channel {
   std::atomic<bool> worker_parked_{false};
   std::atomic<bool> consumer_parked_{false};
   std::thread worker_;
-};
-
-// Slow-path fan-in for the sharded datapath: N worker-shard termini on
-// one side, the control thread that owns the execution environment on the
-// other. Each shard gets an SPSC endpoint (requests toward control,
-// responses back) implementing slowpath_channel, so a per-shard
-// pipe_terminus uses it unchanged. pump() runs on the control thread —
-// service modules, timers and slow-path dispatch therefore all share one
-// thread, exactly as in the single-threaded SN — and routes every
-// response back to the shard encoded in its token (each terminus is
-// seeded with token_seed(shard), so tokens carry their owner).
-class slowpath_hub {
- public:
-  // Shard id lives in the token's top bits; 2^48 slow-path packets per
-  // shard before wrap, which is out of reach for one process lifetime.
-  static constexpr int kShardTokenShift = 48;
-  static std::uint64_t token_seed(std::size_t shard) {
-    return static_cast<std::uint64_t>(shard + 1) << kShardTokenShift;
-  }
-  static std::size_t shard_of_token(std::uint64_t token) {
-    return static_cast<std::size_t>(token >> kShardTokenShift) - 1;
-  }
-
-  // `wake` (optional) is invoked after responses are routed to a shard —
-  // and while spinning on a momentarily full response ring — so a parked
-  // worker gets its doorbell rung.
-  using wake_fn = std::function<void(std::size_t shard)>;
-  slowpath_hub(slowpath_handler handler, std::size_t shards, std::size_t depth = 1024,
-               wake_fn wake = nullptr);
-
-  // The channel a shard's pipe_terminus talks to. Worker-thread side.
-  slowpath_channel& endpoint(std::size_t shard) { return *endpoints_[shard]; }
-
-  // Control thread: dispatches every pending request and routes responses.
-  // Returns the number of requests served.
-  std::size_t pump();
-
-  // Arms deadline enforcement: a request dequeued after its deadline_ns
-  // is answered with a synthesized drop (the shard's in-flight accounting
-  // still drains) instead of invoking the handler. Expiry can only happen
-  // while a request sits in the ring, which is exactly the overload case
-  // deadlines exist for.
-  void set_deadline_clock(const clock* clk) { deadline_clock_ = clk; }
-  // Optional counter bumped per expired request (sn.slowpath.expired).
-  void set_expired_counter(counter* c) { expired_counter_ = c; }
-  std::uint64_t expired() const { return expired_; }
-
-  // True when no request or response is in flight in any ring.
-  bool idle() const;
-
-  std::size_t shards() const { return endpoints_.size(); }
-
- private:
-  struct endpoint_impl final : slowpath_channel {
-    explicit endpoint_impl(std::size_t depth) : requests(depth), responses(depth) {}
-    bool submit(slowpath_request request) override {
-      return requests.try_push(std::move(request));
-    }
-    std::optional<slowpath_response> poll() override { return responses.try_pop(); }
-    spsc_ring<slowpath_request> requests;
-    spsc_ring<slowpath_response> responses;
-  };
-
-  slowpath_handler handler_;
-  wake_fn wake_;
-  const clock* deadline_clock_ = nullptr;
-  counter* expired_counter_ = nullptr;
-  std::uint64_t expired_ = 0;
-  std::vector<std::unique_ptr<endpoint_impl>> endpoints_;
 };
 
 // socketpair(2) + service thread: one syscall per direction per packet,

@@ -265,62 +265,4 @@ std::size_t decision_cache::restore_warm(const_byte_span data, time_point now) {
   return restored;
 }
 
-// ---- cache_invalidation_bus -------------------------------------------
-
-namespace {
-inline void bus_spin_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-  asm volatile("pause");
-#else
-  asm volatile("" ::: "memory");
-#endif
-}
-}  // namespace
-
-cache_invalidation_bus::cache_invalidation_bus(std::size_t shards, std::size_t depth) {
-  lanes_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) lanes_.push_back(std::make_unique<lane>(depth));
-}
-
-void cache_invalidation_bus::publish(cache_command cmd) {
-  cmd.seq = published_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  for (auto& l : lanes_) {
-    while (!l->ring.try_push(cmd)) bus_spin_pause();
-  }
-}
-
-std::size_t cache_invalidation_bus::drain(std::size_t shard, decision_cache& cache) {
-  lane& l = *lanes_[shard];
-  std::size_t applied = 0;
-  std::uint64_t last_seq = 0;
-  while (auto cmd = l.ring.try_pop()) {
-    switch (cmd->op) {
-      case cache_op::erase_connection:
-        cache.erase_connection(cmd->service, cmd->connection);
-        break;
-      case cache_op::erase_service:
-        cache.erase_service(cmd->service);
-        break;
-      case cache_op::erase_next_hop:
-        cache.erase_forwards_to(cmd->hop);
-        break;
-      case cache_op::clear:
-        cache.clear();
-        break;
-    }
-    last_seq = cmd->seq;
-    ++applied;
-  }
-  if (applied > 0) l.applied.store(last_seq, std::memory_order_release);
-  return applied;
-}
-
-bool cache_invalidation_bus::quiesced() const {
-  const std::uint64_t p = published_.load(std::memory_order_acquire);
-  for (const auto& l : lanes_) {
-    if (l->applied.load(std::memory_order_acquire) < p) return false;
-  }
-  return true;
-}
-
 }  // namespace interedge::core

@@ -11,28 +11,22 @@
 // "retrieving the hit-count for an entry" — see hit_count().
 //
 // The hash is SipHash-keyed so an adversary choosing connection IDs cannot
-// force pathological collisions. The same keyed hash drives flow_steerer,
-// which assigns flows to worker shards in the multi-core datapath — one
-// flow's packets always land on one shard (DESIGN.md §9).
+// force pathological collisions.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "common/clock.h"
-#include "common/ring.h"
 #include "core/packet.h"
 #include "crypto/siphash.h"
 
 namespace interedge::core {
 
-// The keyed-hash key shared by the decision cache and the flow steerer,
-// derived from a 64-bit seed (sn_config.cache_hash_seed).
+// The decision cache's keyed-hash key, derived from a 64-bit seed
+// (sn_config.cache_hash_seed).
 crypto::siphash_key cache_hash_key(std::uint64_t seed);
 
 // SipHash of the packed (l3_src, service, connection) tuple.
@@ -54,8 +48,7 @@ class decision_cache {
   // Arms per-entry TTLs: inserts whose decision carries ttl > 0 expire
   // that long after insertion. Without a clock TTLs are ignored and
   // entries live until LRU eviction/invalidation, as before. The clock
-  // must outlive the cache; a worker shard may read it while another
-  // thread advances it (manual_clock is atomic).
+  // must outlive the cache.
   void set_clock(const clock* clk) { clock_ = clk; }
 
   // Looks up a decision; bumps recency and the entry's hit count. An
@@ -109,8 +102,7 @@ class decision_cache {
   using lru_list = std::list<entry>;
   // Secondary index: service -> its resident entries, so slow-path
   // invalidations (erase_connection / erase_service) never scan the whole
-  // LRU list (ISSUE 3 satellite: at 1M entries a linear scan stalls the
-  // shard).
+  // LRU list (at 1M entries a linear scan stalls the datapath).
   using svc_bucket = std::list<lru_list::iterator>;
   struct entry {
     cache_key key;
@@ -138,76 +130,6 @@ class decision_cache {
   std::size_t capacity_;
   const clock* clock_ = nullptr;
   cache_stats stats_;
-};
-
-// RSS-style flow steering for the multi-core datapath: maps a packet's
-// cache key to one of N worker shards with the same SipHash family the
-// decision cache keys on. Deterministic for a fixed seed (a flow lands on
-// the same shard across restarts) and adversarially unpredictable (an
-// attacker choosing connection IDs cannot aim all flows at one shard).
-class flow_steerer {
- public:
-  flow_steerer(std::uint64_t seed, std::size_t shards)
-      : key_(cache_hash_key(seed)), shards_(shards == 0 ? 1 : shards) {}
-
-  std::size_t shard_of(const cache_key& key) const {
-    return static_cast<std::size_t>(cache_key_hash(key_, key) % shards_);
-  }
-  std::size_t shards() const { return shards_; }
-
- private:
-  crypto::siphash_key key_;
-  std::size_t shards_;
-};
-
-// A cache invalidation to fan out to every shard. erase_next_hop carries
-// the dead peer in `hop` (liveness peer-down purging stale forwards).
-enum class cache_op : std::uint8_t { erase_connection, erase_service, erase_next_hop, clear };
-struct cache_command {
-  cache_op op = cache_op::clear;
-  ilp::service_id service = 0;
-  ilp::connection_id connection = 0;
-  peer_id hop = 0;
-  std::uint64_t seq = 0;  // stamped by the bus
-};
-
-// Shard-aware invalidation fan-out. Services invalidate from the slow
-// path (control thread); each worker shard owns a private decision cache
-// it alone touches. The bus carries commands over per-shard SPSC rings:
-// publish() runs on the control thread, drain() on each worker at batch
-// boundaries — the caches themselves are never shared, so the whole
-// scheme is lock-free by construction. Sequence epochs let an idle check
-// confirm every shard has applied every published command.
-class cache_invalidation_bus {
- public:
-  explicit cache_invalidation_bus(std::size_t shards, std::size_t depth = 1024);
-
-  // Control side: stamps and fans the command out to every shard. Spins
-  // while a shard's ring is momentarily full (workers drain every loop
-  // iteration, so the wait is bounded).
-  void publish(cache_command cmd);
-
-  // Worker side: applies every pending command to the shard's cache.
-  // Returns the number applied.
-  std::size_t drain(std::size_t shard, decision_cache& cache);
-
-  std::uint64_t published() const { return published_.load(std::memory_order_acquire); }
-  std::uint64_t applied(std::size_t shard) const {
-    return lanes_[shard]->applied.load(std::memory_order_acquire);
-  }
-  // True when every shard has applied every published command.
-  bool quiesced() const;
-
-  std::size_t shards() const { return lanes_.size(); }
-
- private:
-  struct lane {
-    explicit lane(std::size_t depth) : ring(depth) {}
-    spsc_ring<cache_command> ring;
-    alignas(64) std::atomic<std::uint64_t> applied{0};
-  };
-  std::atomic<std::uint64_t> published_{0};
-  std::vector<std::unique_ptr<lane>> lanes_;
 };
 
 }  // namespace interedge::core

@@ -31,9 +31,8 @@ class node_services {
   virtual metrics_registry& metrics() = 0;
 
   // Decision-cache invalidation entry points. The defaults act on the
-  // node's own cache; the sharded service_node overrides them to fan the
-  // invalidation out to every worker shard's private cache (DESIGN.md §9),
-  // so service modules stay oblivious to how many caches exist.
+  // node's own cache; a node with more than one cache overrides them, so
+  // service modules stay oblivious to how many caches exist.
   virtual void invalidate_connection(ilp::service_id service, ilp::connection_id conn) {
     cache().erase_connection(service, conn);
   }

@@ -148,7 +148,6 @@ bool pipe_terminus::submit_bounded(const slowpath_request& req, bool is_control)
   std::size_t attempts = 0;
   while (!channel_.submit(req)) {
     ++stats_.backpressure;
-    if (backpressure_hook_) backpressure_hook_();
     pump();
     if (!is_control && policy_.high_water > 0 && ++attempts >= policy_.submit_retries) {
       return false;
@@ -190,7 +189,6 @@ void pipe_terminus::handle(packet pkt) {
   slowpath_request req;
   req.token = next_token_++;
   req.l3_src = pkt.l3_src;
-  req.deadline_ns = deadline_for_now();
   req.header_bytes = pkt.header.encode();
   req.payload = pkt.payload;  // services like caching need it; §4 fidelity note in DESIGN.md
 
@@ -297,7 +295,6 @@ void pipe_terminus::handle_batch_impl(std::span<P> pkts) {
     slowpath_request req;
     req.token = next_token_++;
     req.l3_src = pkt.l3_src;
-    req.deadline_ns = deadline_for_now();
     req.header_bytes = pkt.header.encode();
     req.payload.assign(pkt.payload.begin(), pkt.payload.end());
 
@@ -372,7 +369,7 @@ void pipe_terminus::complete(slowpath_response resp) {
           .duration_ns = path_rec_->now() - fstart,
       });
     }
-    apply_with_path(resp.verdict, p.pkt.header, p.pkt.payload, p.tc, resp.annotations,
+    apply_with_path(resp.verdict, p.pkt.header, p.pkt.payload, p.tc, 0,
                     trace::span_kind::hop_slow, p.trace_start_ns, span_id);
     return;
   }

@@ -46,10 +46,6 @@ struct terminus_stats {
 // applying it, so the fast path keeps flowing while the slow path drains.
 // Control packets are exempt — they mutate service state and always wait.
 struct slowpath_policy {
-  const clock* clk = nullptr;  // time source for deadlines and shed TTLs
-  // Per-request deadline stamped into slowpath_request.deadline_ns;
-  // 0 = no deadline.
-  nanoseconds deadline{0};
   // In-flight slow-path packets that trigger shedding; 0 = legacy
   // behavior (block until the channel accepts).
   std::size_t high_water = 0;
@@ -64,9 +60,8 @@ class pipe_terminus {
  public:
   // `forward` sends a packet to an adjacent element over the node's pipes.
   // The payload span is readable only for the duration of the call — on the
-  // zero-copy path it aliases an ingress slab; implementations that defer
-  // the send (egress rings) must copy or take a slab reference before
-  // returning.
+  // zero-copy path it aliases an ingress slab; an implementation that
+  // defers the send must copy or take a slab reference before returning.
   using forward_fn =
       std::function<void(peer_id to, const ilp::ilp_header&, const_byte_span payload)>;
 
@@ -117,20 +112,6 @@ class pipe_terminus {
     shed_verdicts_[service] = std::move(d);
   }
 
-  // Seeds the slow-path token counter. The sharded datapath gives each
-  // shard's terminus a disjoint token range (slowpath_hub::token_seed) so
-  // the hub can route a response back to the terminus that issued it.
-  void set_token_seed(std::uint64_t seed) { next_token_ = seed; }
-
-  // Invoked on every submit retry while the slow-path channel is full, in
-  // addition to pump(). A worker shard uses it to keep servicing its other
-  // obligations (invalidation bus, egress spill) so the control thread —
-  // whose progress the full channel is waiting on — can never deadlock
-  // against a worker stuck in this loop.
-  void set_backpressure_hook(std::function<void()> hook) {
-    backpressure_hook_ = std::move(hook);
-  }
-
   // True while slow-path responses are outstanding.
   bool busy() const { return !in_flight_.empty(); }
   std::size_t in_flight() const { return in_flight_.size(); }
@@ -139,9 +120,8 @@ class pipe_terminus {
 
   // Pushes any stats movement not yet reflected in the metric handles.
   // handle()/handle_batch() flush on exit, but verdicts applied by a bare
-  // pump() between packets (the worker loop, the control thread's poll)
-  // would otherwise slip under the next flush's watermark and vanish from
-  // the metrics view.
+  // pump() between packets (the owner's poll) would otherwise slip under
+  // the next flush's watermark and vanish from the metrics view.
   void flush_telemetry();
 
  private:
@@ -191,17 +171,11 @@ class pipe_terminus {
   // Submits with the policy's retry bound; false = caller sheds. Control
   // packets (and the legacy no-policy mode) retry until accepted.
   bool submit_bounded(const slowpath_request& req, bool is_control);
-  std::uint64_t deadline_for_now() const {
-    if (policy_.clk == nullptr || policy_.deadline.count() <= 0) return 0;
-    return static_cast<std::uint64_t>(
-        (policy_.clk->now() + policy_.deadline).time_since_epoch().count());
-  }
   counter& service_rx_counter(ilp::service_id service);
 
   decision_cache& cache_;
   slowpath_channel& channel_;
   forward_fn forward_;
-  std::function<void()> backpressure_hook_;
   std::unordered_map<std::uint64_t, pending> in_flight_;
   std::uint64_t next_token_ = 1;
   terminus_stats stats_;

@@ -185,72 +185,6 @@ std::size_t psp_context::open_batch(std::span<const const_byte_span> wires,
   return opened;
 }
 
-bool psp_context::peek_prefix(const_byte_span wire, byte_span out) const {
-  if (out.size() > kChaChaBlockSize) return false;
-  // Need `out.size()` ciphertext bytes past the spi||iv prefix and before
-  // the trailing tag.
-  if (wire.size() < kPspOverhead + out.size()) return false;
-  std::uint32_t spi = 0;
-  for (int i = 0; i < 4; ++i) spi |= static_cast<std::uint32_t>(wire[i]) << (8 * i);
-  const epoch_key* ek = nullptr;
-  if (spi == current_.spi) {
-    ek = &current_;
-  } else if (spi == previous_.spi && epoch_ > 0) {
-    ek = &previous_;
-  } else {
-    return false;
-  }
-  std::uint8_t block[kChaChaBlockSize];
-  // The wire's spi||iv prefix is the nonce, verbatim; counter 1 is where
-  // the cipher stream starts.
-  chacha20_block(ek->key.data(), 1, wire.data(), block);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = wire[12 + i] ^ block[i];
-  return true;
-}
-
-std::size_t psp_context::peek_prefix_batch(std::span<const const_byte_span> wires,
-                                           std::size_t prefix_len, byte_span outs,
-                                           std::span<bool> ok) const {
-  const std::size_t n = std::min(wires.size(), ok.size());
-  if (prefix_len > kChaChaBlockSize || outs.size() < n * prefix_len) return 0;
-  std::size_t peeked = 0;
-  for (std::size_t i = 0; i < n; ++i) ok[i] = false;
-
-  auto run_group = [&](const epoch_key& ek) {
-    auto in_group = [&](std::size_t i) {
-      if (wires[i].size() < kPspOverhead + prefix_len) return false;
-      std::uint32_t spi = 0;
-      for (int b = 0; b < 4; ++b) spi |= static_cast<std::uint32_t>(wires[i][b]) << (8 * b);
-      return spi == ek.spi;
-    };
-    counter_scratch_.clear();
-    nonce_scratch_.clear();
-    std::size_t members = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!in_group(i)) continue;
-      counter_scratch_.push_back(1);
-      nonce_scratch_.insert(nonce_scratch_.end(), wires[i].data(), wires[i].data() + 12);
-      ++members;
-    }
-    if (members == 0) return;
-    ks_scratch_.resize(members * kChaChaBlockSize);
-    chacha20_keystream_blocks(ek.key.data(), counter_scratch_.data(), nonce_scratch_.data(),
-                              members, ks_scratch_.data());
-    std::size_t b = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!in_group(i)) continue;
-      const std::uint8_t* ks = ks_scratch_.data() + b * kChaChaBlockSize;
-      for (std::size_t j = 0; j < prefix_len; ++j) outs[i * prefix_len + j] = wires[i][12 + j] ^ ks[j];
-      ok[i] = true;
-      ++peeked;
-      ++b;
-    }
-  };
-  run_group(current_);
-  if (epoch_ > 0 && previous_.spi != current_.spi) run_group(previous_);
-  return peeked;
-}
-
 void psp_context::rotate() {
   previous_ = current_;
   ++epoch_;

@@ -28,14 +28,8 @@ peer_id deployment::add_sn(edomain_id domain) {
                       .cache_capacity = config_.cache_capacity,
                       .cache_hash_seed = id_rng_.next(),
                       .path_span_capacity = config_.sn_path_span_capacity,
-                      .workers = config_.sn_workers,
-                      .egress_spill_max = config_.sn_egress_spill_max,
-                      .worker_cpus = config_.sn_worker_cpus,
-                      .control_cpu = config_.sn_control_cpu,
-                      .numa_aware = config_.sn_numa_aware,
                       .keepalive_interval = config_.sn_keepalive_interval,
                       .liveness_jitter_seed = id_rng_.next() | 1,
-                      .slowpath_deadline = config_.sn_slowpath_deadline,
                       .slowpath_high_water = config_.sn_slowpath_high_water,
                       .shed_ttl = config_.sn_shed_ttl,
                       .blackbox_capacity = config_.sn_blackbox_capacity,

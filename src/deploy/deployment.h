@@ -49,25 +49,11 @@ struct deployment_config {
   std::size_t sn_blackbox_capacity = 1024;
 
   // ---- slow-path degradation (DESIGN.md §10), forwarded to sn_config ----
-  // Deadline stamped on slow-path requests (0 = none) and the in-flight
-  // high-water mark past which the terminus sheds with a TTL'd default
-  // drop verdict (0 = legacy blocking). Scenario suites arm these to model
-  // overload; steady-state deployments leave them off.
-  nanoseconds sn_slowpath_deadline{0};
+  // The in-flight high-water mark past which the terminus sheds with a
+  // TTL'd default drop verdict (0 = legacy blocking). Scenario suites arm
+  // it to model overload; steady-state deployments leave it off.
   std::size_t sn_slowpath_high_water = 0;
   nanoseconds sn_shed_ttl = std::chrono::milliseconds(50);
-
-  // ---- multi-core datapath + placement (ISSUE 8) ----
-  // Worker shards per SN (0 = inline single-threaded, the default — the
-  // simulator topologies stay deterministic unless a deployment opts in).
-  std::size_t sn_workers = 0;
-  // Placement knobs forwarded to sn_config verbatim: explicit worker CPU
-  // list, control-thread CPU, NUMA-aware derivation (see service_node.h).
-  std::vector<int> sn_worker_cpus{};
-  int sn_control_cpu = -1;
-  bool sn_numa_aware = false;
-  // Bound for each shard's worker-private egress spill deque.
-  std::size_t sn_egress_spill_max = 4096;
 
   // ---- continuous profiling plane (ISSUE 10), forwarded to sn_config ----
   // On-CPU sampling Hz per SN thread; 0 (the default) leaves the profiler

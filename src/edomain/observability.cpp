@@ -6,8 +6,7 @@ namespace interedge::edomain {
 
 namespace {
 
-constexpr std::uint16_t kErrorMask =
-    trace::kAnnoShed | trace::kAnnoDrop | trace::kAnnoDeadlineExpired;
+constexpr std::uint16_t kErrorMask = trace::kAnnoShed | trace::kAnnoDrop;
 
 }  // namespace
 

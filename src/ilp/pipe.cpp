@@ -34,53 +34,35 @@ void append_varint(bytes& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-// Exception-free varint parse for the steering peek. Returns the bytes
-// consumed, 0 on truncation/overflow.
-std::size_t parse_varint(const_byte_span data, std::uint64_t& value) {
-  value = 0;
-  std::size_t off = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
-    if (off >= data.size()) return 0;
-    const std::uint8_t b = data[off++];
-    value |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return off;
-  }
-  return 0;
-}
-
 }  // namespace
 
-namespace detail {
-
-std::optional<std::pair<ilp_header, bytes>> rx_core::open(const_byte_span body,
-                                                          pipe_stats& stats) {
+std::optional<std::pair<ilp_header, bytes>> pipe::open(const_byte_span body) {
   try {
     reader r(body);
     const const_byte_span sealed = r.blob();
     const const_byte_span payload = r.raw(r.remaining());
     if (sealed.size() < crypto::kPspOverhead) {
-      ++stats.rejected;
+      ++stats_.rejected;
       return std::nullopt;
     }
     std::uint8_t aad[8];
     length_aad(aad, payload.size());
     open_scratch_.resize(sealed.size() - crypto::kPspOverhead);
-    if (!ctx_.open_into(sealed, const_byte_span(aad, 8), open_scratch_)) {
-      ++stats.rejected;
+    if (!rx_.open_into(sealed, const_byte_span(aad, 8), open_scratch_)) {
+      ++stats_.rejected;
       return std::nullopt;
     }
     ilp_header header = ilp_header::decode(open_scratch_);
-    ++stats.opened;
+    ++stats_.opened;
     return std::make_pair(std::move(header), bytes(payload.begin(), payload.end()));
   } catch (const serial_error&) {
-    ++stats.rejected;
+    ++stats_.rejected;
     return std::nullopt;
   }
 }
 
-std::size_t rx_core::decrypt_batch(std::span<const const_byte_span> bodies,
-                                   std::vector<std::optional<opened_packet>>& out,
-                                   pipe_stats& stats) {
+std::size_t pipe::decrypt_batch(std::span<const const_byte_span> bodies,
+                                std::vector<std::optional<opened_packet>>& out) {
   prof::cycle_scope cyc(prof::cycle_stage::decrypt);
   const std::size_t n = bodies.size();
   out.clear();
@@ -106,7 +88,7 @@ std::size_t rx_core::decrypt_batch(std::span<const const_byte_span> bodies,
       const const_byte_span sealed = r.blob();
       const const_byte_span payload = r.raw(r.remaining());
       if (sealed.size() < crypto::kPspOverhead) {
-        ++stats.rejected;
+        ++stats_.rejected;
         continue;
       }
       length_aad(&aad_bytes_scratch_[8 * i], payload.size());
@@ -115,7 +97,7 @@ std::size_t rx_core::decrypt_batch(std::span<const const_byte_span> bodies,
       payload_scratch_[i] = payload;
       arena_size += sealed.size() - crypto::kPspOverhead;
     } catch (const serial_error&) {
-      ++stats.rejected;
+      ++stats_.rejected;
     }
   }
 
@@ -136,7 +118,7 @@ std::size_t rx_core::decrypt_batch(std::span<const const_byte_span> bodies,
     ok_scratch_ = std::make_unique<bool[]>(n);
     ok_capacity_ = n;
   }
-  ctx_.open_batch(sealed_scratch_, aad_scratch_, dst_scratch_,
+  rx_.open_batch(sealed_scratch_, aad_scratch_, dst_scratch_,
                   std::span<bool>(ok_scratch_.get(), n));
   if (tr) t2 = trace::now_ns();
 
@@ -145,15 +127,15 @@ std::size_t rx_core::decrypt_batch(std::span<const const_byte_span> bodies,
   for (std::size_t i = 0; i < n; ++i) {
     if (sealed_scratch_[i].empty()) continue;  // already counted rejected
     if (!ok_scratch_[i]) {
-      ++stats.rejected;
+      ++stats_.rejected;
       continue;
     }
     try {
       out[i] = opened_packet{ilp_header::decode(dst_scratch_[i]), payload_scratch_[i]};
-      ++stats.opened;
+      ++stats_.opened;
       ++opened;
     } catch (const serial_error&) {
-      ++stats.rejected;
+      ++stats_.rejected;
     }
   }
   if (tr) {
@@ -165,9 +147,8 @@ std::size_t rx_core::decrypt_batch(std::span<const const_byte_span> bodies,
   return opened;
 }
 
-std::size_t rx_core::decrypt_batch_mut(std::span<const byte_span> bodies,
-                                       std::vector<std::optional<opened_packet>>& out,
-                                       pipe_stats& stats) {
+std::size_t pipe::decrypt_batch_mut(std::span<const byte_span> bodies,
+                                    std::vector<std::optional<opened_packet>>& out) {
   prof::cycle_scope cyc(prof::cycle_stage::decrypt);
   const std::size_t n = bodies.size();
   out.clear();
@@ -192,7 +173,7 @@ std::size_t rx_core::decrypt_batch_mut(std::span<const byte_span> bodies,
       const const_byte_span sealed = r.blob();
       const const_byte_span payload = r.raw(r.remaining());
       if (sealed.size() < crypto::kPspOverhead) {
-        ++stats.rejected;
+        ++stats_.rejected;
         continue;
       }
       length_aad(&aad_bytes_scratch_[8 * i], payload.size());
@@ -204,7 +185,7 @@ std::size_t rx_core::decrypt_batch_mut(std::span<const byte_span> bodies,
       dst_scratch_[i] =
           bodies[i].subspan(sealed_off + 12, sealed.size() - crypto::kPspOverhead);
     } catch (const serial_error&) {
-      ++stats.rejected;
+      ++stats_.rejected;
     }
   }
 
@@ -217,7 +198,7 @@ std::size_t rx_core::decrypt_batch_mut(std::span<const byte_span> bodies,
     ok_scratch_ = std::make_unique<bool[]>(n);
     ok_capacity_ = n;
   }
-  ctx_.open_batch(sealed_scratch_, aad_scratch_, dst_scratch_,
+  rx_.open_batch(sealed_scratch_, aad_scratch_, dst_scratch_,
                   std::span<bool>(ok_scratch_.get(), n));
   if (tr) t2 = trace::now_ns();
 
@@ -226,15 +207,15 @@ std::size_t rx_core::decrypt_batch_mut(std::span<const byte_span> bodies,
   for (std::size_t i = 0; i < n; ++i) {
     if (sealed_scratch_[i].empty()) continue;  // already counted rejected
     if (!ok_scratch_[i]) {
-      ++stats.rejected;
+      ++stats_.rejected;
       continue;
     }
     try {
       out[i] = opened_packet{ilp_header::decode(dst_scratch_[i]), payload_scratch_[i]};
-      ++stats.opened;
+      ++stats_.opened;
       ++opened;
     } catch (const serial_error&) {
-      ++stats.rejected;
+      ++stats_.rejected;
     }
   }
   if (tr) {
@@ -245,13 +226,10 @@ std::size_t rx_core::decrypt_batch_mut(std::span<const byte_span> bodies,
   return opened;
 }
 
-}  // namespace detail
-
 pipe::pipe(const_byte_span secret, std::uint32_t local_spi, std::uint32_t remote_spi,
            bool initiator)
     : tx_(derive_master(secret, initiator ? "init->resp" : "resp->init"), local_spi),
-      rx_(crypto::psp_context(derive_master(secret, initiator ? "resp->init" : "init->resp"),
-                              remote_spi)) {}
+      rx_(derive_master(secret, initiator ? "resp->init" : "init->resp"), remote_spi) {}
 
 void pipe::seal_into(const ilp_header& header, const_byte_span payload, bytes& out) {
   header_scratch_.clear();
@@ -298,56 +276,6 @@ bytes pipe::seal(const ilp_header& header, const_byte_span payload) {
   bytes out;
   seal_into(header, payload, out);
   return out;
-}
-
-std::optional<std::pair<ilp_header, bytes>> pipe::open(const_byte_span body) {
-  return rx_.open(body, stats_);
-}
-
-std::size_t pipe::decrypt_batch(std::span<const const_byte_span> bodies,
-                                std::vector<std::optional<opened_packet>>& out) {
-  return rx_.decrypt_batch(bodies, out, stats_);
-}
-
-std::size_t pipe::decrypt_batch_mut(std::span<const byte_span> bodies,
-                                    std::vector<std::optional<opened_packet>>& out) {
-  return rx_.decrypt_batch_mut(bodies, out, stats_);
-}
-
-std::size_t pipe::peek_flow_batch(std::span<const const_byte_span> bodies,
-                                  std::vector<flow_peek>& out) {
-  // The encoded ILP header leads with service(u32 LE) || connection(u64 LE)
-  // — 12 plaintext bytes, all inside the first cipher block.
-  constexpr std::size_t kPeekLen = 12;
-  const std::size_t n = bodies.size();
-  out.clear();
-  out.resize(n);
-
-  peek_sealed_scratch_.assign(n, {});
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t sealed_len = 0;
-    const std::size_t consumed = parse_varint(bodies[i], sealed_len);
-    if (consumed == 0 || sealed_len > bodies[i].size() - consumed) continue;  // malformed framing
-    peek_sealed_scratch_[i] = bodies[i].subspan(consumed, sealed_len);
-  }
-  peek_prefix_scratch_.resize(n * kPeekLen);
-  if (peek_ok_capacity_ < n) {
-    peek_ok_scratch_ = std::make_unique<bool[]>(n);
-    peek_ok_capacity_ = n;
-  }
-  rx_.ctx().peek_prefix_batch(peek_sealed_scratch_, kPeekLen, peek_prefix_scratch_,
-                              std::span<bool>(peek_ok_scratch_.get(), n));
-  std::size_t peeked = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!peek_ok_scratch_[i]) continue;
-    const std::uint8_t* p = peek_prefix_scratch_.data() + i * kPeekLen;
-    flow_peek& fp = out[i];
-    fp.ok = true;
-    for (int b = 0; b < 4; ++b) fp.service |= static_cast<std::uint32_t>(p[b]) << (8 * b);
-    for (int b = 0; b < 8; ++b) fp.connection |= static_cast<std::uint64_t>(p[4 + b]) << (8 * b);
-    ++peeked;
-  }
-  return peeked;
 }
 
 }  // namespace interedge::ilp

@@ -51,84 +51,6 @@ struct opened_packet {
   const_byte_span payload;
 };
 
-// Steering peek result: the flow tuple read from a sealed data message
-// without authenticating it (see pipe::peek_flow_batch).
-struct flow_peek {
-  bool ok = false;
-  std::uint32_t service = 0;
-  std::uint64_t connection = 0;
-};
-
-namespace detail {
-
-// Receive-side decrypt engine: the PSP rx context plus the scratch the
-// batched open needs. Shared by pipe (the control-thread rx path) and
-// pipe_rx (worker-shard replicas), so a replica runs the identical
-// datapath the pipe itself would.
-class rx_core {
- public:
-  explicit rx_core(crypto::psp_context ctx) : ctx_(std::move(ctx)) {}
-
-  std::optional<std::pair<ilp_header, bytes>> open(const_byte_span body, pipe_stats& stats);
-  std::size_t decrypt_batch(std::span<const const_byte_span> bodies,
-                            std::vector<std::optional<opened_packet>>& out, pipe_stats& stats);
-  // In-place variant for the zero-copy path: bodies are MUTABLE buffers
-  // (pool slabs) and each authenticated header is decrypted over its own
-  // ciphertext inside the buffer — no plaintext arena, no allocation.
-  // out[i]'s payload span aliases the body; the body's sealed region is
-  // destroyed (overwritten with plaintext) for every packet that passed
-  // authentication, so a body cannot be re-opened. Safe because psp's
-  // open verifies the tag before any byte is written (see psp.h).
-  std::size_t decrypt_batch_mut(std::span<const byte_span> bodies,
-                                std::vector<std::optional<opened_packet>>& out,
-                                pipe_stats& stats);
-  void rotate() { ctx_.rotate(); }
-  const crypto::psp_context& ctx() const { return ctx_; }
-
- private:
-  crypto::psp_context ctx_;
-  bytes open_scratch_;  // decrypted-header arena, reused across opens
-  // decrypt_batch scratch, reused across calls.
-  std::vector<const_byte_span> sealed_scratch_;
-  std::vector<const_byte_span> payload_scratch_;
-  std::vector<const_byte_span> aad_scratch_;
-  std::vector<byte_span> dst_scratch_;
-  bytes aad_bytes_scratch_;
-  std::unique_ptr<bool[]> ok_scratch_;
-  std::size_t ok_capacity_ = 0;
-};
-
-}  // namespace detail
-
-// A decrypt-only replica of one pipe's receive side, private to a worker
-// shard: same keys (current + previous epoch at copy time), own scratch,
-// own stats — no state is shared with the originating pipe, so a replica
-// is usable from another thread with no synchronization. Key epochs do
-// not follow the pipe automatically; the owner re-replicates (or calls
-// rotate()) on the same schedule it rotates the pipe.
-class pipe_rx {
- public:
-  explicit pipe_rx(crypto::psp_context rx) : core_(std::move(rx)) {}
-
-  // Batch ingress: semantics of pipe::decrypt_batch.
-  std::size_t decrypt_batch(std::span<const const_byte_span> bodies,
-                            std::vector<std::optional<opened_packet>>& out) {
-    return core_.decrypt_batch(bodies, out, stats_);
-  }
-  // Zero-copy ingress: decrypts headers in place inside the (mutable)
-  // bodies — see rx_core::decrypt_batch_mut.
-  std::size_t decrypt_batch_mut(std::span<const byte_span> bodies,
-                                std::vector<std::optional<opened_packet>>& out) {
-    return core_.decrypt_batch_mut(bodies, out, stats_);
-  }
-  void rotate() { core_.rotate(); }
-  const pipe_stats& stats() const { return stats_; }
-
- private:
-  detail::rx_core core_;
-  pipe_stats stats_;
-};
-
 class pipe {
  public:
   // `secret` is the X25519 shared secret; `initiator` selects the key
@@ -162,23 +84,15 @@ class pipe {
   std::size_t decrypt_batch(std::span<const const_byte_span> bodies,
                             std::vector<std::optional<opened_packet>>& out);
 
-  // In-place batch ingress over mutable buffers (pool slabs): plaintext
-  // headers overwrite their ciphertext, payload spans alias the bodies,
-  // nothing is copied. See detail::rx_core::decrypt_batch_mut.
+  // In-place batch ingress over mutable buffers (pool slabs): each
+  // authenticated header is decrypted over its own ciphertext inside the
+  // body — no plaintext arena, no allocation. out[i]'s payload span aliases
+  // the body; the body's sealed region is destroyed (overwritten with
+  // plaintext) for every packet that passed authentication, so a body
+  // cannot be re-opened. Safe because psp's open verifies the tag before
+  // any byte is written (see psp.h).
   std::size_t decrypt_batch_mut(std::span<const byte_span> bodies,
                                 std::vector<std::optional<opened_packet>>& out);
-
-  // Flow-steering peek over a batch of data-message bodies: reads each
-  // packet's leading (service, connection) header fields with one
-  // unauthenticated cipher block per packet (multi-stream batched), no
-  // full open. out[i].ok is false on malformed framing or unknown SPI —
-  // such packets can be steered anywhere (or handled inline); whoever
-  // performs the authenticated open makes the accept/reject decision.
-  std::size_t peek_flow_batch(std::span<const const_byte_span> bodies,
-                              std::vector<flow_peek>& out);
-
-  // Snapshot of the receive side for a worker shard (see pipe_rx).
-  pipe_rx rx_replica() const { return pipe_rx(rx_.ctx()); }
 
   // Unilateral sender-side rekey; the peer keeps accepting the previous
   // epoch, so no coordination round-trip is needed.
@@ -195,14 +109,18 @@ class pipe {
 
  private:
   crypto::psp_context tx_;
-  detail::rx_core rx_;
+  crypto::psp_context rx_;
   pipe_stats stats_;
   writer header_scratch_;  // encoded-header reuse across seals
-  // peek_flow_batch scratch, reused across calls.
-  std::vector<const_byte_span> peek_sealed_scratch_;
-  bytes peek_prefix_scratch_;
-  std::unique_ptr<bool[]> peek_ok_scratch_;
-  std::size_t peek_ok_capacity_ = 0;
+  bytes open_scratch_;     // decrypted-header arena, reused across opens
+  // decrypt_batch scratch, reused across calls.
+  std::vector<const_byte_span> sealed_scratch_;
+  std::vector<const_byte_span> payload_scratch_;
+  std::vector<const_byte_span> aad_scratch_;
+  std::vector<byte_span> dst_scratch_;
+  bytes aad_bytes_scratch_;
+  std::unique_ptr<bool[]> ok_scratch_;
+  std::size_t ok_capacity_ = 0;
 };
 
 }  // namespace interedge::ilp

@@ -199,9 +199,6 @@ void pipe_manager::establish(peer_id peer, const crypto::x25519_key& secret_scal
   // the old keys.
   auto& slot = pipes_[peer];
   slot = std::move(p);
-  // New receive keys exist before any data sealed with them can arrive;
-  // the observer propagates them (e.g. to worker-shard replicas) first.
-  if (rx_keys_) rx_keys_(peer, *slot);
   // A (re)established pipe resets the peer's liveness state: probing
   // resumes from a clean slate and any reconnect backoff is cancelled.
   // The handshake we just completed used fresh X25519 ephemerals, so a
@@ -507,16 +504,10 @@ void pipe_manager::retry_pending() {
 }
 
 void pipe_manager::rotate_all() {
-  for (auto& [peer, p] : pipes_) {
+  for (auto& [_, p] : pipes_) {
     p->rotate_tx();
     p->rotate_rx();
-    if (rx_keys_) rx_keys_(peer, *p);
   }
-}
-
-ilp::pipe* pipe_manager::pipe_for(peer_id peer) {
-  auto it = pipes_.find(peer);
-  return it == pipes_.end() ? nullptr : it->second.get();
 }
 
 const pipe_stats* pipe_manager::stats_for(peer_id peer) const {

@@ -111,18 +111,6 @@ class pipe_manager {
     deliver_batch_ = std::move(deliver_batch);
   }
 
-  // Observer fired whenever a peer's receive keys change: pipe established
-  // (or re-established after a peer restart) and rx epoch rotation. The
-  // sharded datapath uses this to push fresh pipe_rx replicas to worker
-  // shards; the hook runs on the owner's thread, before any packet that
-  // needs the new keys can be processed.
-  using rx_keys_fn = std::function<void(peer_id peer, const pipe& p)>;
-  void set_rx_keys_hook(rx_keys_fn hook) { rx_keys_ = std::move(hook); }
-
-  // The established pipe for `peer`, if any — steering peeks and replica
-  // snapshots; owner-thread only.
-  pipe* pipe_for(peer_id peer);
-
   // Resolves drop/error counters once so rejected datagrams are counted
   // and logged in the same place — ingress drops are never silent.
   void set_metrics(metrics_registry& reg);
@@ -219,7 +207,6 @@ class pipe_manager {
   send_gather_fn send_gather_;
   deliver_fn deliver_;
   deliver_batch_fn deliver_batch_;
-  rx_keys_fn rx_keys_;
   peer_status_fn peer_status_;
   counter* rejected_pkts_ = nullptr;  // auth/parse failures (see set_metrics)
   counter* no_pipe_drops_ = nullptr;  // data before any pipe exists

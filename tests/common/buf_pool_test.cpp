@@ -170,7 +170,7 @@ TEST(BufPool, CacheBatchedRefillSpill) {
 }
 
 // The datapath handoff in miniature: an ingress thread fills views and
-// pushes them over the shard SPSC ring; a worker pops, reads, and drops
+// pushes them over an SPSC ring; a consumer pops, reads, and drops
 // them. Slabs recycle from the consumer side — the refcount is the only
 // shared state — and the pool never grows.
 TEST(BufPool, CrossThreadRingHandoff) {

@@ -105,7 +105,7 @@ TEST(FlightRecorder, DumpJsonCarriesHeaderAndTriggerNames) {
 }
 
 TEST(FlightRecorder, TriggerNamesJoinMaskBits) {
-  EXPECT_EQ(fr_trigger_names(kTrigPeerDown | kTrigWatchdog), "peer_down|watchdog");
+  EXPECT_EQ(fr_trigger_names(kTrigPeerDown | kTrigSloPage), "peer_down|slo_page");
   EXPECT_EQ(fr_trigger_names(0), "");
 }
 

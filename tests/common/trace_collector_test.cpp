@@ -137,8 +137,8 @@ TEST(TraceCollector, ExportJsonCarriesHopsAndAccounting) {
   EXPECT_NE(text.find("wire+queue=500ns"), std::string::npos);
 }
 
-// Sanitizer target: worker-shard drains and the observability push tick
-// ingest concurrently while an operator assembles. tsan must see clean
+// Sanitizer target: several producers' drains and the observability push
+// tick ingest concurrently while an operator assembles. tsan must see clean
 // locking; the final counts must be exact.
 TEST(TraceCollector, ConcurrentIngestAndAssembleIsClean) {
   trace_collector col(4096);

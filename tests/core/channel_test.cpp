@@ -152,13 +152,6 @@ TEST(ResponseCodec, RoundTripAllVerdicts) {
   }
 }
 
-TEST(RequestCodec, DeadlineRoundTrips) {
-  slowpath_request req;
-  req.token = 1;
-  req.deadline_ns = 123456789;
-  EXPECT_EQ(slowpath_request::decode(req.encode()).deadline_ns, 123456789u);
-}
-
 TEST(DecisionCodec, TtlRoundTrips) {
   using namespace std::chrono_literals;
   slowpath_response resp;
@@ -170,67 +163,6 @@ TEST(DecisionCodec, TtlRoundTrips) {
   ASSERT_EQ(decoded.cache_inserts.size(), 1u);
   EXPECT_EQ(decoded.cache_inserts[0].second.ttl, 50ms);
   EXPECT_EQ(decoded.cache_inserts[0].second, d);
-}
-
-TEST(SlowpathHub, ExpiresOverdueRequestsWithoutInvokingHandler) {
-  manual_clock clk;
-  int handled = 0;
-  slowpath_hub hub(
-      [&handled](slowpath_request req) {
-        ++handled;
-        slowpath_response r;
-        r.token = req.token;
-        r.verdict = decision::deliver();
-        return r;
-      },
-      /*shards=*/1);
-  hub.set_deadline_clock(&clk);
-
-  clk.advance(std::chrono::milliseconds(100));
-  slowpath_request overdue;
-  overdue.token = slowpath_hub::token_seed(0) + 1;
-  overdue.deadline_ns = 1;  // long past
-  ASSERT_TRUE(hub.endpoint(0).submit(overdue));
-
-  slowpath_request fresh;
-  fresh.token = slowpath_hub::token_seed(0) + 2;
-  fresh.deadline_ns = static_cast<std::uint64_t>(
-      (clk.now() + std::chrono::milliseconds(10)).time_since_epoch().count());
-  ASSERT_TRUE(hub.endpoint(0).submit(fresh));
-
-  EXPECT_EQ(hub.pump(), 2u);
-  EXPECT_EQ(handled, 1);  // only the fresh one reached the handler
-  EXPECT_EQ(hub.expired(), 1u);
-
-  // Both tokens come back: the expired one as a synthesized drop, so the
-  // submitting shard's in-flight window never leaks.
-  std::set<std::uint64_t> tokens;
-  decision::verdict expired_verdict{};
-  while (auto r = hub.endpoint(0).poll()) {
-    if (r->token == overdue.token) expired_verdict = r->verdict.kind;
-    tokens.insert(r->token);
-  }
-  EXPECT_EQ(tokens.size(), 2u);
-  EXPECT_EQ(expired_verdict, decision::verdict::drop);
-}
-
-TEST(SlowpathHub, NoClockMeansNoExpiry) {
-  int handled = 0;
-  slowpath_hub hub(
-      [&handled](slowpath_request req) {
-        ++handled;
-        slowpath_response r;
-        r.token = req.token;
-        return r;
-      },
-      /*shards=*/1);
-  slowpath_request req;
-  req.token = slowpath_hub::token_seed(0) + 1;
-  req.deadline_ns = 1;
-  ASSERT_TRUE(hub.endpoint(0).submit(req));
-  hub.pump();
-  EXPECT_EQ(handled, 1);
-  EXPECT_EQ(hub.expired(), 0u);
 }
 
 TEST(RingChannel, BoundedDepthRejectsWhenFull) {

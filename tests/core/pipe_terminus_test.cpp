@@ -226,7 +226,7 @@ TEST_F(terminus_fixture, BatchMatchesPerPacketBehavior) {
   }
 }
 
-// ---- load shedding and deadlines (DESIGN.md §10) ------------------------
+// ---- load shedding (DESIGN.md §10) ---------------------------------------
 
 using namespace std::chrono_literals;
 
@@ -276,7 +276,7 @@ class shed_fixture : public ::testing::Test {
 };
 
 TEST_F(shed_fixture, ShedsPastHighWaterInsteadOfBlocking) {
-  terminus_.set_slowpath_policy({.clk = &clk_, .high_water = 4, .shed_ttl = 50ms});
+  terminus_.set_slowpath_policy({.high_water = 4, .shed_ttl = 50ms});
   cache_.set_clock(&clk_);
   for (ilp::connection_id c = 0; c < 10; ++c) terminus_.handle(make_packet(c));
   // 4 in flight; the other 6 shed to the default (drop) verdict.
@@ -287,7 +287,7 @@ TEST_F(shed_fixture, ShedsPastHighWaterInsteadOfBlocking) {
 }
 
 TEST_F(shed_fixture, ShedVerdictIsTemporaryCacheEntry) {
-  terminus_.set_slowpath_policy({.clk = &clk_, .high_water = 1, .shed_ttl = 50ms});
+  terminus_.set_slowpath_policy({.high_water = 1, .shed_ttl = 50ms});
   cache_.set_clock(&clk_);
   terminus_.handle(make_packet(1));  // occupies the slow path
   terminus_.handle(make_packet(2));  // shed, installs TTL'd drop
@@ -303,7 +303,7 @@ TEST_F(shed_fixture, ShedVerdictIsTemporaryCacheEntry) {
 }
 
 TEST_F(shed_fixture, ShedVerdictPerServicePolicyCanPass) {
-  terminus_.set_slowpath_policy({.clk = &clk_, .high_water = 1, .shed_ttl = 50ms});
+  terminus_.set_slowpath_policy({.high_water = 1, .shed_ttl = 50ms});
   cache_.set_clock(&clk_);
   terminus_.set_shed_verdict(ilp::svc::delivery, decision::forward_to(50));
   terminus_.handle(make_packet(1));  // in flight
@@ -314,7 +314,7 @@ TEST_F(shed_fixture, ShedVerdictPerServicePolicyCanPass) {
 }
 
 TEST_F(shed_fixture, ControlPacketsNeverShed) {
-  terminus_.set_slowpath_policy({.clk = &clk_, .high_water = 1, .shed_ttl = 50ms});
+  terminus_.set_slowpath_policy({.high_water = 1, .shed_ttl = 50ms});
   terminus_.handle(make_packet(1));
   terminus_.handle(make_packet(2, ilp::kFlagControl));
   EXPECT_EQ(terminus_.stats().shed, 0u);
@@ -322,7 +322,7 @@ TEST_F(shed_fixture, ControlPacketsNeverShed) {
 }
 
 TEST_F(shed_fixture, BatchShedsAndMemoAbsorbsBurst) {
-  terminus_.set_slowpath_policy({.clk = &clk_, .high_water = 1, .shed_ttl = 50ms});
+  terminus_.set_slowpath_policy({.high_water = 1, .shed_ttl = 50ms});
   cache_.set_clock(&clk_);
   std::vector<packet> batch;
   batch.push_back(make_packet(1));                       // takes the slow-path slot
@@ -332,20 +332,10 @@ TEST_F(shed_fixture, BatchShedsAndMemoAbsorbsBurst) {
   EXPECT_EQ(terminus_.stats().fast_path, 4u);  // rest of the burst rides the memo
 }
 
-TEST_F(shed_fixture, DeadlineStampedIntoRequests) {
-  terminus_.set_slowpath_policy({.clk = &clk_, .deadline = 5ms});
-  clk_.advance(100ms);
-  terminus_.handle(make_packet(1));
-  ASSERT_EQ(channel_.accepted.size(), 1u);
-  EXPECT_EQ(channel_.accepted[0].deadline_ns,
-            static_cast<std::uint64_t>((clk_.now() + 5ms).time_since_epoch().count()));
-}
-
-TEST_F(shed_fixture, NoPolicyMeansNoDeadlineNoShedding) {
+TEST_F(shed_fixture, NoPolicyMeansNoShedding) {
   for (ilp::connection_id c = 0; c < 100; ++c) terminus_.handle(make_packet(c));
   EXPECT_EQ(terminus_.stats().shed, 0u);
   EXPECT_EQ(terminus_.in_flight(), 100u);
-  EXPECT_EQ(channel_.accepted[0].deadline_ns, 0u);
 }
 
 TEST(ShedBoundedSubmit, FullChannelShedsAfterRetryBudget) {
@@ -356,7 +346,7 @@ TEST(ShedBoundedSubmit, FullChannelShedsAfterRetryBudget) {
   int forwards = 0;
   pipe_terminus terminus(cache, channel,
                          [&](peer_id, const ilp::ilp_header&, const_byte_span) { ++forwards; });
-  terminus.set_slowpath_policy({.clk = &clk, .high_water = 8, .submit_retries = 5});
+  terminus.set_slowpath_policy({.high_water = 8, .submit_retries = 5});
 
   packet p;
   p.l3_src = 7;

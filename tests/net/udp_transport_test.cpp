@@ -273,12 +273,11 @@ TEST(UdpEndpoint, RxRecoversFromPoolExhaustion) {
   EXPECT_EQ(rx.rx_errors(), 0u);
 }
 
-// The sanitizer-CI concurrency target (tools/ci_sanitizers.sh runs this
-// binary under tsan): a sharded SN forwards through a real endpoint —
-// worker threads produce into egress rings while the control thread
-// drains them into gather sendmsg calls. Exercises every cross-thread
-// edge of the egress path over real sockets.
-TEST(UdpTx, ShardedEgressConcurrentDrain) {
+// The SN's zero-copy datapath over real sockets, wired the way udp_live
+// and the loopback benchmark wire it: recvmmsg into pool slabs, views
+// decrypted in place, forwards sealed head-only and sent with the slab
+// payload as a second iovec (gather sendmsg).
+TEST(UdpInterEdge, ViewsIngressGatherEgressOverRealSockets) {
   udp_endpoint ep_host_a, ep_host_b;
   udp_endpoint ep_sn(udp_config{});
   event_loop loop;
@@ -293,11 +292,10 @@ TEST(UdpTx, ShardedEgressConcurrentDrain) {
 
   core::testing::identity_router route;
   real_clock clk;
-  core::service_node sn(core::sn_config{.id = id_sn, .edomain = 1, .workers = 2}, clk,
+  core::service_node sn(core::sn_config{.id = id_sn, .edomain = 1}, clk,
                         [&](peer_id to, bytes d) { ep_sn.send(to, d); }, loop.scheduler(),
                         &route);
   sn.env().deploy(std::make_unique<core::testing::forwarder_module>());
-  // Forwards drain from the shard egress rings into gather sends.
   sn.pipes().set_send_gather([&](peer_id to, const_byte_span head, const_byte_span payload) {
     ep_sn.send_gather(to, head, payload);
   });
@@ -322,20 +320,13 @@ TEST(UdpTx, ShardedEgressConcurrentDrain) {
   constexpr int kMsgs = 48;
   auto conn = host_a.open(id_b, ilp::svc::delivery);
   for (int i = 0; i < kMsgs; ++i) {
-    conn.send(to_bytes("concurrent " + std::to_string(i)));
-    if (i % 8 == 7) loop.run_for(5ms);  // interleave drains with sends
+    conn.send(to_bytes("gather " + std::to_string(i)));
+    if (i % 8 == 7) loop.run_for(5ms);  // interleave receives with sends
   }
   loop.run_until_quiet(30ms, 5000ms);
-  sn.wait_idle();
-  loop.run_until_quiet(30ms, 2000ms);
 
   EXPECT_EQ(inbox.size(), static_cast<std::size_t>(kMsgs));
-  // In parallel mode the forward accounting lives in the shard termini.
-  std::uint64_t forwarded = 0;
-  for (std::size_t i = 0; i < sn.worker_count(); ++i) {
-    forwarded += sn.shard_terminus_stats(i).forwarded;
-  }
-  EXPECT_EQ(forwarded, static_cast<std::uint64_t>(kMsgs));
+  EXPECT_EQ(sn.datapath_stats().forwarded, static_cast<std::uint64_t>(kMsgs));
 }
 
 TEST(UdpEndpoint, PeerTableSurvivesGrowth) {

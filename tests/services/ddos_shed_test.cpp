@@ -121,7 +121,7 @@ std::size_t payload_count(const sim_host& h, std::string_view body) {
   return n;
 }
 
-// Shared fixture state: a parallel SN with a tiny slow-path budget, the
+// Shared fixture state: an SN with a tiny slow-path budget, the
 // real ddos module protecting `victim`, `legit` allowlisted with a cached
 // admit verdict, and an attacker wired for batch floods.
 struct shed_rig {
@@ -156,7 +156,7 @@ struct shed_rig {
 };
 
 TEST(DdosShed, LegitimateFlowsSurviveFloodOnCachedAdmitVerdicts) {
-  shed_rig rig(sn_config{.workers = 2, .slowpath_high_water = 4, .shed_ttl = 5ms});
+  shed_rig rig(sn_config{.slowpath_high_water = 4, .shed_ttl = 5ms});
 
   // Warm the legitimate flow: its first packet takes the slow path, gets
   // uRPF-checked against the allowlist, and installs a TTL'd forward.
@@ -174,8 +174,9 @@ TEST(DdosShed, LegitimateFlowsSurviveFloodOnCachedAdmitVerdicts) {
   ASSERT_EQ(payload_count(*rig.victim, "attack"), 0u);
 
   // One ingress batch: 400 cold attack flows with a legitimate packet
-  // interleaved every 20 — the shard rings saturate the 4-deep slow-path
-  // budget long before the control thread pumps it.
+  // interleaved every 20. The terminus submits each cold flow as it meets
+  // it but drains responses only at the end of a same-peer run, so every
+  // 20-flow run fills the 4-deep slow-path budget by construction.
   constexpr int kFlood = 400;
   constexpr int kLegit = kFlood / 20;
   for (int i = 1; i <= kFlood; ++i) {
@@ -216,18 +217,13 @@ TEST(DdosShed, LegitimateFlowsSurviveFloodOnCachedAdmitVerdicts) {
     if (s.name == "sn.slowpath.shed") shed += s.value;
   }
   EXPECT_GT(shed, 0.0);
-  // Every packet a shard received was resolved one way or another.
-  std::uint64_t received = 0, resolved = 0;
-  for (std::size_t s = 0; s < rig.sn->worker_count(); ++s) {
-    const auto& st = rig.sn->shard_terminus_stats(s);
-    received += st.received;
-    resolved += st.fast_path + st.slow_path + st.shed;
-  }
-  EXPECT_EQ(resolved, received);
+  // Every packet the terminus received was resolved one way or another.
+  const terminus_stats& st = rig.sn->datapath_stats();
+  EXPECT_EQ(st.fast_path + st.slow_path + st.shed, st.received);
 }
 
 TEST(DdosShed, ShedVerdictAgesOutAndFlowIsRejudged) {
-  shed_rig rig(sn_config{.workers = 2, .slowpath_high_water = 4, .shed_ttl = 5ms});
+  shed_rig rig(sn_config{.slowpath_high_water = 4, .shed_ttl = 5ms});
 
   // Establish the attacker's pipe, then saturate with cold flows so some
   // shed with the TTL'd fail-closed drop.
@@ -247,11 +243,7 @@ TEST(DdosShed, ShedVerdictAgesOutAndFlowIsRejudged) {
   ASSERT_TRUE(rig.sn->wait_idle());
   rig.net.run();
 
-  std::uint64_t shed = 0;
-  for (std::size_t s = 0; s < rig.sn->worker_count(); ++s) {
-    shed += rig.sn->shard_terminus_stats(s).shed;
-  }
-  ASSERT_GT(shed, 0u);
+  ASSERT_GT(rig.sn->datapath_stats().shed, 0u);
   const std::uint64_t denied_after_flood = rig.ddos->denied();
   // The 4-deep budget means only a handful of the 400 flows were actually
   // judged (and denial-cached, permanently); the rest shed with TTL'd
@@ -283,10 +275,9 @@ TEST(DdosShed, ShedVerdictAgesOutAndFlowIsRejudged) {
 }
 
 TEST(DdosShed, AdmitCacheTtlForcesReadmission) {
-  // Inline datapath: the verdict-lifetime behavior is independent of the
-  // sharded machinery. Admit entries expire on the configured TTL and the
-  // flow is re-judged — and re-admitted — without a delivery gap.
-  shed_rig rig(sn_config{.workers = 0});
+  // Admit entries expire on the configured TTL and the flow is re-judged
+  // — and re-admitted — without a delivery gap.
+  shed_rig rig(sn_config{});
   rig.sn->env().set_config(ilp::svc::ddos_protect, "admit_cache_ttl_ms", "5");
 
   rig.legit->mgr->send(rig.sn->node_id(),

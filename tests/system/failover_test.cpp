@@ -211,15 +211,16 @@ TEST(Failover, SnKeepalivesSurvivePartitionAndReconnect) {
 }
 
 TEST(Failover, SaturatedSlowPathShedsInsteadOfBlocking) {
-  // Parallel-mode SN with a tiny in-flight budget: a burst of distinct
-  // cold flows lands in the shard rings before the control thread pumps
-  // the slow path once, so the shards must shed (counted) instead of
-  // blocking — and every packet is still accounted for.
+  // SN with a tiny in-flight budget: the terminus submits every cold flow
+  // of a batch as it meets it and drains responses only at batch end, so
+  // a burst of distinct cold flows fills the budget by construction and
+  // the rest must shed (counted) instead of blocking — and every packet is
+  // still accounted for.
   simulation net;
   testing::identity_router route;
   auto server = make_host(net);
   auto sn = make_sn(net, &route,
-                    sn_config{.workers = 2, .slowpath_high_water = 4, .shed_ttl = 5ms});
+                    sn_config{.slowpath_high_water = 4, .shed_ttl = 5ms});
   sn->env().deploy(std::make_unique<testing::forwarder_module>());
 
   // A client whose pipe manager writes sealed datagrams into an outbox
@@ -271,15 +272,11 @@ TEST(Failover, SaturatedSlowPathShedsInsteadOfBlocking) {
   EXPECT_EQ(shed, dropped);  // fail-closed sheds are the only drops here
   // The in-flight budget was tiny and the flood cold: shedding kicked in.
   EXPECT_GT(shed, 0u);
-  // Zero hangs: every packet a shard received came out one way or another.
-  std::uint64_t received = 0, resolved = 0;
-  for (std::size_t s = 0; s < sn->worker_count(); ++s) {
-    const auto& st = sn->shard_terminus_stats(s);
-    received += st.received;
-    resolved += st.fast_path + st.slow_path + st.shed;
-  }
-  EXPECT_EQ(received, burst.size());
-  EXPECT_EQ(resolved, received);
+  // Zero hangs: every packet the terminus received came out one way or
+  // another.
+  const terminus_stats& st = sn->datapath_stats();
+  EXPECT_EQ(st.received, burst.size());
+  EXPECT_EQ(st.fast_path + st.slow_path + st.shed, st.received);
 }
 
 TEST(Failover, ScriptedFaultScheduleReplaysDeterministically) {

@@ -1,13 +1,24 @@
 #!/bin/sh
-# Sanitizer CI job: builds and runs the test suite under ASan+UBSan and
-# TSan (presets in CMakePresets.json). TSan is what keeps the lock-free
-# paths honest — sharded_counter stripes, concurrent histogram records,
-# the trace ring, and the multi-core SN datapath (worker shards, SPSC
-# rings, the invalidation bus) hammered by parallel_test.
+# CI job: a repeated release pass on all cores, then the test suite under
+# ASan+UBSan and TSan (presets in CMakePresets.json). TSan is what keeps
+# the lock-free paths honest — sharded_counter stripes, concurrent
+# histogram records, the trace and span rings, slab refcounts, the flight
+# recorder and the sampling profiler's signal rings.
 #
-#   tools/ci_sanitizers.sh [asan|tsan]    # default: both
+#   tools/ci_sanitizers.sh [asan|tsan]    # default: the release gate, then both
 set -e
 cd "$(dirname "$0")/.."
+
+# Multi-core gate: the release suite twenty times over, four binaries at a
+# time, so a test that only passes when its threads happen to interleave
+# one way fails here instead of on someone else's machine.
+run_repeat() {
+  echo "== release: configure + build =="
+  cmake --preset release
+  cmake --build --preset release -j
+  echo "== release: tier-1, repeated until-fail:20 with -j4 =="
+  ctest --preset release --repeat until-fail:20 -j4
+}
 
 run_preset() {
   preset="$1"
@@ -17,37 +28,29 @@ run_preset() {
   cmake --build --preset "$preset" -j
   echo "== $preset: test =="
   ctest --preset "$preset" -j
-  # Second, focused pass over the multi-core datapath tests: these spawn
-  # real worker threads (steering, shard caches, invalidation bus), which
-  # is exactly what the sanitizers — tsan above all — exist to check.
-  echo "== $preset: parallel datapath (focused) =="
-  ctest --preset "$preset" -R parallel_test --output-on-failure
   # Fault matrix: the failover/liveness/shedding scenarios re-run focused.
   # Crash-restart, partition-heal, and slow-path saturation exercise the
   # teardown/retry edges (pipe erasure while probes are in flight, shed
-  # verdicts racing worker pumps) where lifetime and ordering bugs hide.
+  # verdicts installed mid-batch) where lifetime and ordering bugs hide.
   echo "== $preset: fault matrix (focused) =="
   ctest --preset "$preset" -R 'failover_test|simnet_test' --output-on-failure
-  # Path tracing (ISSUE 5): the span recorders are SPSC rings drained by
-  # the control thread while worker shards emit, and the collector is hit
-  # from the observability push tick — tsan's bread and butter. The
-  # trace_test unit pass plus the end-to-end path_trace scenarios.
+  # Path tracing (ISSUE 5): the span recorders are SPSC rings, and the
+  # collector is ingested from several threads while an operator
+  # assembles (trace_collector_test) — tsan's bread and butter. Plus the
+  # end-to-end path_trace scenarios.
   echo "== $preset: path tracing (focused) =="
   ctest --preset "$preset" -R 'trace_collector_test|path_trace_test' --output-on-failure
   # Zero-copy datapath (ISSUE 6): slab refcounts crossing threads and SPSC
   # rings (buf_pool_test's handoff/concurrent cases are the tsan targets),
   # plus the real-socket transport — the one recvmmsg rx path, in-place
-  # decrypt windows over pool slabs, view lifetimes through the event loop.
-  # Egress rides the same net_test pass: ShardedEgressConcurrentDrain
-  # pushes worker-shard forwards out through gather sendmsg while the
-  # control thread drains the egress rings — the tsan target for the
-  # egress half.
+  # decrypt windows over pool slabs, view lifetimes through the event loop,
+  # and the SN forwarding out of those slabs with gather sendmsg.
   echo "== $preset: slab pool + transport (focused) =="
   ctest --preset "$preset" -R 'buf_pool_test|net_test' --output-on-failure
   # SLO health plane (ISSUE 7): the flight recorder's multi-producer
   # seqlock ring with a racing snapshot reader and a mid-run freeze is the
-  # tsan target (health_test); the end-to-end binary drives the watchdog
-  # against real stalled worker threads and the burn-rate page path.
+  # tsan target (health_test); the end-to-end binary drives the burn-rate
+  # page path into a black-box freeze.
   echo "== $preset: health plane + flight recorder (focused) =="
   ctest --preset "$preset" -R 'health_test|slo_health_test' --output-on-failure
   # Profiling plane (ISSUE 10): an async-signal handler writing per-thread
@@ -59,12 +62,11 @@ run_preset() {
   echo "== $preset: sampling profiler (focused) =="
   ctest --preset "$preset" -R prof_test --output-on-failure
   # Scenario engine (ISSUE 9): the adversarial + churn suites drive every
-  # concurrent subsystem at once — sharded datapaths under flood-driven
-  # shed, the invalidation bus purging verdicts on protect/allow and
-  # peer-down, liveness teardown racing traffic during mobility_churn's
-  # crash, and the observability push path mid-page. asan owns the
-  # lifetime edges (pipes torn down with packets in flight), tsan the
-  # cross-thread verdict and metric flows.
+  # subsystem at once on the simulator's one thread — flood-driven shed,
+  # cache purges on protect/allow and peer-down, liveness teardown with
+  # traffic in flight during mobility_churn's crash, and the observability
+  # push path mid-page. asan owns those lifetime edges (pipes torn down
+  # with packets in flight).
   echo "== $preset: scenario suites (focused) =="
   ctest --preset "$preset" -R scenario_test --output-on-failure
 }
@@ -73,6 +75,7 @@ case "${1:-all}" in
   asan) run_preset asan ;;
   tsan) run_preset tsan ;;
   all)
+    run_repeat
     run_preset asan
     run_preset tsan
     ;;
