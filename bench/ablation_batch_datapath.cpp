@@ -565,15 +565,16 @@ void BM_IngressDatapathZeroCopy(benchmark::State& state) {
   }
 }
 
-// ---- egress arm — gather sendmsg, zero allocs per packet --------------
+// ---- egress arm — gather send, zero allocs per packet -----------------
 //
 // The transmit mirror of BM_IngressDatapathZeroCopy: B (head, payload)
-// gather sends, one two-iovec sendmsg each, the receiver draining into
-// pool slabs to close the loop. Neither side owns a per-packet buffer —
-// iovecs and msghdrs live on the stack, received slabs recycle through the
-// pool — so the TU's instrumented operator new must count ZERO
-// steady-state heap allocations; the arm fails the bench if the audit
-// finds any.
+// gather sends, each staged into the endpoint's tx arena and flushed, the
+// receiver draining into pool slabs to close the loop. Neither side owns
+// a per-packet buffer — the tx arena and queue are reserved once when the
+// endpoint is built, iovecs and msghdrs live on the stack, received slabs
+// recycle through the pool — so the TU's instrumented operator new must
+// count ZERO steady-state heap allocations; the arm fails the bench if
+// the audit finds any.
 void BM_EgressDatapath(benchmark::State& state) {
   net::udp_endpoint tx(net::udp_config{});
   net::udp_endpoint rx;

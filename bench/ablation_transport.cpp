@@ -4,8 +4,10 @@
 // per-packet service round trip over each transport.
 //
 // Also the datagram transport at batch 1/8/32 over loopback: an rx arm
-// (one sendmmsg per burst) and a tx arm (one gather sendmsg per datagram,
-// the SN's egress call), both draining into pool slabs through
+// (one send_batch flush per burst), a tx arm (one gather send flushed per
+// datagram, the SN's egress call outside a held pass) and a coalesced tx
+// arm (the same gather sends under one tx hold, flushed once, as the SN
+// sends inside an event_loop pass), all draining into pool slabs through
 // recv_batch_views.
 #include <benchmark/benchmark.h>
 
@@ -135,10 +137,13 @@ void BM_Transport_Ipc_Pipelined(benchmark::State& state) { pipelined<ipc_channel
 //
 // One sender bursting `batch` 256-byte datagrams over loopback; the
 // receiver drains through recv_batch_views into pool slabs. The rx arm
-// sends each burst with one sendmmsg, so the receive side dominates; the
-// tx arm sends it the way the SN forwards — one two-iovec sendmsg per
-// datagram (send_gather). The drain stays inside the timed region on both
-// arms, so each is a full loopback round trip at equal reliability.
+// sends each burst with one send_batch (one flush), so the receive side
+// dominates. The tx arm sends with one send_gather per datagram and no
+// hold, so every datagram is its own flush and syscall. The coalesced arm
+// makes the same send_gather calls under one tx hold: one flush, one
+// sendmmsg carrying the burst as a single GSO run. The drain stays inside
+// the timed region on every arm, so each is a full loopback round trip at
+// equal reliability.
 template <typename SendBurst>
 void udp_sweep(benchmark::State& state, SendBurst send_burst) {
   net::udp_endpoint tx;
@@ -177,6 +182,15 @@ void BM_UdpTx(benchmark::State& state) {
     return sent;
   });
 }
+void BM_UdpTxCoalesced(benchmark::State& state) {
+  udp_sweep(state, [](net::udp_endpoint& tx, const std::vector<bytes>& ds) {
+    const std::uint64_t before = tx.sent();
+    tx.hold_tx();
+    for (const bytes& d : ds) tx.send_gather(2, d, {});
+    tx.release_tx();  // the one flush
+    return static_cast<std::size_t>(tx.sent() - before);
+  });
+}
 
 }  // namespace
 
@@ -187,5 +201,6 @@ BENCHMARK(BM_Transport_Ring_Pipelined)->Arg(1000);
 BENCHMARK(BM_Transport_Ipc_Pipelined)->Arg(1000);
 BENCHMARK(BM_UdpRx)->Arg(1)->Arg(8)->Arg(32);
 BENCHMARK(BM_UdpTx)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_UdpTxCoalesced)->Arg(1)->Arg(8)->Arg(32);
 
 BENCHMARK_MAIN();

@@ -40,6 +40,13 @@ void pipe_terminus::enable_telemetry(metrics_registry& reg, trace::tracer* trace
   m_backpressure_ = &reg.get_counter("sn.slowpath.backpressure");
   m_shed_ = &reg.get_counter("sn.slowpath.shed");
   m_inflight_ = &reg.get_gauge("sn.slowpath.in_flight");
+  m_cache_hits_ = &reg.get_counter("sn.cache.hits");
+  m_cache_misses_ = &reg.get_counter("sn.cache.misses");
+  m_cache_inserts_ = &reg.get_counter("sn.cache.inserts");
+  m_cache_evictions_ = &reg.get_counter("sn.cache.evictions");
+  m_cache_invalidations_ = &reg.get_counter("sn.cache.invalidations");
+  m_cache_expired_ = &reg.get_counter("sn.cache.expired");
+  cache_flushed_ = cache_.stats();
 }
 
 counter& pipe_terminus::service_rx_counter(ilp::service_id service) {
@@ -65,6 +72,19 @@ void pipe_terminus::flush_telemetry() {
   m_shed_->add(stats_.shed - flushed_.shed);
   m_inflight_->set(static_cast<std::int64_t>(in_flight_.size()));
   flushed_ = stats_;
+  // The decision cache's totals, same watermark scheme; invalidations made
+  // outside a batch ride the next flush.
+  const cache_stats& c = cache_.stats();
+  const auto sync = [](counter* m, std::uint64_t now, std::uint64_t& seen) {
+    if (now != seen) m->add(now - seen);
+    seen = now;
+  };
+  sync(m_cache_hits_, c.hits, cache_flushed_.hits);
+  sync(m_cache_misses_, c.misses, cache_flushed_.misses);
+  sync(m_cache_inserts_, c.inserts, cache_flushed_.inserts);
+  sync(m_cache_evictions_, c.evictions, cache_flushed_.evictions);
+  sync(m_cache_invalidations_, c.invalidations, cache_flushed_.invalidations);
+  sync(m_cache_expired_, c.expired, cache_flushed_.expired);
 }
 
 void pipe_terminus::shed_packet(peer_id l3_src, const ilp::ilp_header& header,

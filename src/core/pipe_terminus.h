@@ -180,6 +180,7 @@ class pipe_terminus {
   std::uint64_t next_token_ = 1;
   terminus_stats stats_;
   terminus_stats flushed_;  // watermark of stats already in the metric handles
+  cache_stats cache_flushed_;  // the same watermark for cache_.stats()
   slowpath_policy policy_;
   std::unordered_map<ilp::service_id, decision> shed_verdicts_;
 
@@ -197,6 +198,12 @@ class pipe_terminus {
   counter* m_backpressure_ = nullptr;
   counter* m_shed_ = nullptr;
   gauge* m_inflight_ = nullptr;
+  counter* m_cache_hits_ = nullptr;
+  counter* m_cache_misses_ = nullptr;
+  counter* m_cache_inserts_ = nullptr;
+  counter* m_cache_evictions_ = nullptr;
+  counter* m_cache_invalidations_ = nullptr;
+  counter* m_cache_expired_ = nullptr;
   std::array<counter*, kServiceSlots> rx_by_service_{};
 };
 

@@ -66,6 +66,8 @@ void sha256::compress(const std::uint8_t* block) {
 
 void sha256::update(const_byte_span data) {
   total_ += data.size();
+  // An empty span may carry a null data pointer, which memcpy must not see.
+  if (data.empty()) return;
   std::size_t offset = 0;
   if (buffered_ > 0) {
     const std::size_t take = std::min(data.size(), buffer_.size() - buffered_);

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/udp.h>
 #include <sys/select.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -18,12 +19,21 @@ std::uint64_t pack_source(const sockaddr_in& addr) {
   return (static_cast<std::uint64_t>(addr.sin_addr.s_addr) << 16) | addr.sin_port;
 }
 
+bool transient(int err) { return err == EAGAIN || err == EWOULDBLOCK || err == EINTR; }
+
+// Control buffer for one UDP_SEGMENT cmsg (the run's segment size).
+union gso_cmsg {
+  char buf[CMSG_SPACE(sizeof(std::uint16_t))];
+  cmsghdr align;
+};
+
 }  // namespace
 
 udp_endpoint::udp_endpoint(std::uint16_t port, bool reuse_port)
     : udp_endpoint(udp_config{.port = port, .reuse_port = reuse_port, .pool = {}}) {}
 
-udp_endpoint::udp_endpoint(const udp_config& cfg) : pool_cfg_(cfg.pool) {
+udp_endpoint::udp_endpoint(const udp_config& cfg)
+    : pool_cfg_(cfg.pool), tx_arena_(std::make_unique_for_overwrite<std::uint8_t[]>(kTxArenaBytes)) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw std::runtime_error("udp socket failed");
 
@@ -52,6 +62,7 @@ udp_endpoint::udp_endpoint(const udp_config& cfg) : pool_cfg_(cfg.pool) {
 }
 
 udp_endpoint::~udp_endpoint() {
+  flush_tx();
   rx_slabs_.clear();
   view_scratch_.clear();
   cache_.reset();
@@ -78,28 +89,115 @@ bool udp_endpoint::send(peer_id to, const_byte_span datagram) {
 }
 
 bool udp_endpoint::send_gather(peer_id to, const_byte_span head, const_byte_span payload) {
+  if (!stage(to, head, payload)) return false;
+  return tx_holds_ > 0 || flush_tx() > 0;
+}
+
+std::size_t udp_endpoint::send_batch(peer_id to, std::span<const bytes> datagrams) {
+  if (peers_.find(to) == nullptr) return 0;
+  const std::uint64_t before = sent_;
+  std::size_t staged = 0;
+  for (const bytes& d : datagrams) staged += stage(to, d, {}) ? 1 : 0;
+  if (tx_holds_ > 0) return staged;
+  flush_tx();
+  return static_cast<std::size_t>(sent_ - before);
+}
+
+bool udp_endpoint::stage(peer_id to, const_byte_span head, const_byte_span payload) {
   const sockaddr_in* addr = peers_.find(to);
-  if (addr == nullptr) return false;
-  iovec iovs[2] = {
-      {const_cast<std::uint8_t*>(head.data()), head.size()},
-      {const_cast<std::uint8_t*>(payload.data()), payload.size()},
-  };
-  msghdr msg{};
-  msg.msg_name = const_cast<sockaddr_in*>(addr);
-  msg.msg_namelen = sizeof(*addr);
-  msg.msg_iov = iovs;
-  msg.msg_iovlen = payload.empty() ? 1 : 2;
-  for (std::size_t attempt = 0;; ++attempt) {
-    const ssize_t n = ::sendmsg(fd_, &msg, 0);
-    if (n >= 0) {
-      ++sent_;
-      return true;
-    }
-    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) return false;
-    ++send_again_;
-    if (m_send_again_ != nullptr) m_send_again_->add();
-    if (attempt >= kSendRetries) return false;  // UDP is lossy anyway
+  const std::size_t len = head.size() + payload.size();
+  if (addr == nullptr || len > kTxArenaBytes) return false;
+  if (tx_count_ == kTxQueueMax || tx_used_ + len > kTxArenaBytes) flush_tx();
+  std::uint8_t* at = tx_arena_.get() + tx_used_;
+  // Empty spans may carry a null data pointer, which memcpy must not see.
+  if (!head.empty()) std::memcpy(at, head.data(), head.size());
+  if (!payload.empty()) std::memcpy(at + head.size(), payload.data(), payload.size());
+  tx_queue_[tx_count_++] =
+      tx_entry{*addr, static_cast<std::uint32_t>(tx_used_), static_cast<std::uint32_t>(len)};
+  tx_used_ += len;
+  return true;
+}
+
+std::size_t udp_endpoint::run_length(std::size_t first) const {
+  const tx_entry& lead = tx_queue_[first];
+  // A zero-length datagram cannot be a GSO segment: it would vanish.
+  if (lead.len == 0) return 1;
+  std::size_t run = 1;
+  // The queue cap and the arena size already bound a run to 64 segments
+  // and to one IPv4 datagram's payload.
+  for (std::size_t i = first + 1; i < tx_count_; ++i, ++run) {
+    const tx_entry& e = tx_queue_[i];
+    const bool same_dest = e.to.sin_addr.s_addr == lead.to.sin_addr.s_addr &&
+                           e.to.sin_port == lead.to.sin_port;
+    // Every segment but the last has the run's length; a shorter one
+    // ends it.
+    if (!same_dest || e.len == 0 || e.len > lead.len || tx_queue_[i - 1].len != lead.len) break;
   }
+  return run;
+}
+
+std::size_t udp_endpoint::flush_tx() {
+  std::size_t next = 0;           // first entry the kernel has not taken
+  std::size_t singles_until = 0;  // entries before this go one per message
+  std::size_t retries = 0;
+  std::size_t accepted = 0;
+  mmsghdr msgs[kTxQueueMax];
+  iovec iovs[kTxQueueMax];
+  gso_cmsg ctrl[kTxQueueMax];
+  std::size_t segs[kTxQueueMax];  // datagrams in each message
+  while (next < tx_count_) {
+    unsigned count = 0;
+    for (std::size_t i = next; i < tx_count_; i += segs[count++]) {
+      const tx_entry& lead = tx_queue_[i];
+      const std::size_t run = i < singles_until ? 1 : run_length(i);
+      const tx_entry& last = tx_queue_[i + run - 1];
+      iovs[count] = {tx_arena_.get() + lead.off, last.off + last.len - lead.off};
+      msgs[count] = mmsghdr{};
+      msghdr& h = msgs[count].msg_hdr;
+      h.msg_name = const_cast<sockaddr_in*>(&lead.to);
+      h.msg_namelen = sizeof(lead.to);
+      h.msg_iov = &iovs[count];
+      h.msg_iovlen = 1;
+      if (run > 1) {
+        h.msg_control = ctrl[count].buf;
+        h.msg_controllen = sizeof(ctrl[count].buf);
+        cmsghdr* c = CMSG_FIRSTHDR(&h);
+        c->cmsg_level = SOL_UDP;
+        c->cmsg_type = UDP_SEGMENT;
+        c->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+        const auto segment = static_cast<std::uint16_t>(lead.len);
+        std::memcpy(CMSG_DATA(c), &segment, sizeof(segment));
+      }
+      segs[count] = run;
+    }
+    // sendmmsg reports an error only when nothing went out; a short count
+    // leaves the failing message first in line for the next call.
+    const int n = ::sendmmsg(fd_, msgs, count, 0);
+    if (n > 0) {
+      for (int k = 0; k < n; ++k) {
+        next += segs[k];
+        accepted += segs[k];
+      }
+      continue;
+    }
+    if (transient(errno)) {
+      ++send_again_;
+      if (m_send_again_ != nullptr) m_send_again_->add();
+      if (++retries > kSendRetries) break;  // give up on the rest
+      continue;
+    }
+    if ((errno == EINVAL || errno == EIO || errno == EMSGSIZE) && segs[0] > 1) {
+      ++gso_fallback_;
+      if (m_gso_fallback_ != nullptr) m_gso_fallback_->add();
+      singles_until = next + segs[0];
+      continue;
+    }
+    next += segs[0];  // a hard error loses this message; UDP is lossy
+  }
+  sent_ += accepted;
+  tx_count_ = 0;
+  tx_used_ = 0;
+  return accepted;
 }
 
 std::optional<std::pair<peer_id, bytes>> udp_endpoint::poll() {
@@ -235,57 +333,6 @@ std::size_t udp_endpoint::recv_batch(std::size_t max,
   return n;
 }
 
-std::size_t udp_endpoint::send_batch(peer_id to, std::span<const bytes> datagrams) {
-  const sockaddr_in* addr = peers_.find(to);
-  if (addr == nullptr) return 0;
-  std::size_t accepted = 0;
-#ifdef __linux__
-  std::size_t offset = 0;
-  std::size_t retries = 0;
-  while (offset < datagrams.size()) {
-    const std::size_t chunk = std::min(datagrams.size() - offset, kBatchMax);
-    mmsghdr msgs[kBatchMax]{};
-    iovec iovs[kBatchMax];
-    for (std::size_t i = 0; i < chunk; ++i) {
-      const bytes& d = datagrams[offset + i];
-      iovs[i] = {const_cast<std::uint8_t*>(d.data()), d.size()};
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-      msgs[i].msg_hdr.msg_name = const_cast<sockaddr_in*>(addr);
-      msgs[i].msg_hdr.msg_namelen = sizeof(*addr);
-    }
-    const int n = ::sendmmsg(fd_, msgs, static_cast<unsigned>(chunk), 0);
-    if (n <= 0) {
-      // A full socket buffer (EAGAIN) usually clears within the batch;
-      // retry a bounded number of times, then give up on the remainder
-      // (UDP is lossy; upper layers own reliability).
-      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) break;
-      ++send_again_;
-      if (m_send_again_ != nullptr) m_send_again_->add();
-      if (++retries > kSendRetries) break;
-      continue;
-    }
-    accepted += static_cast<std::size_t>(n);
-    sent_ += static_cast<std::size_t>(n);
-    // Partial acceptance: the kernel stopped mid-batch (buffer filled).
-    // Advance past what it took and retry the rest instead of silently
-    // dropping the tail of the batch.
-    if (static_cast<std::size_t>(n) < chunk) {
-      ++send_again_;
-      if (m_send_again_ != nullptr) m_send_again_->add();
-      if (++retries > kSendRetries) break;
-    }
-    offset += static_cast<std::size_t>(n);
-  }
-#else
-  for (const bytes& d : datagrams) {
-    if (!send(to, d)) break;
-    ++accepted;
-  }
-#endif
-  return accepted;
-}
-
 // ---- event_loop --------------------------------------------------------
 
 void event_loop::attach(udp_endpoint& endpoint, datagram_handler handler) {
@@ -306,14 +353,26 @@ void event_loop::schedule(nanoseconds delay, std::function<void()> fn) {
                      next_seq_++, std::move(fn)});
 }
 
+event_loop::tx_hold_scope::tx_hold_scope(const std::vector<attached>& endpoints)
+    : endpoints_(endpoints), held_(endpoints.size()) {
+  for (std::size_t i = 0; i < held_; ++i) endpoints_[i].endpoint->hold_tx();
+}
+
+event_loop::tx_hold_scope::~tx_hold_scope() {
+  for (std::size_t i = 0; i < held_; ++i) endpoints_[i].endpoint->release_tx();
+}
+
 std::size_t event_loop::pass(std::chrono::milliseconds max_wait) {
   const auto now = std::chrono::steady_clock::now();
 
-  // Fire due timers.
-  while (!timers_.empty() && timers_.top().due <= now) {
-    auto fn = timers_.top().fn;
-    timers_.pop();
-    fn();
+  // Fire due timers; what they send leaves before the pass blocks.
+  {
+    const tx_hold_scope hold(endpoints_);
+    while (!timers_.empty() && timers_.top().due <= now) {
+      auto fn = timers_.top().fn;
+      timers_.pop();
+      fn();
+    }
   }
 
   // Wait for readability across all endpoints (bounded by the next timer).
@@ -334,7 +393,9 @@ std::size_t event_loop::pass(std::chrono::milliseconds max_wait) {
              static_cast<suseconds_t>((wait.count() % 1000) * 1000)};
   if (::select(max_fd + 1, &readable, nullptr, nullptr, &tv) <= 0) return 0;
 
-  // Drain everything readable.
+  // Drain everything readable. Handlers' sends stage and leave in one
+  // flush per endpoint when the hold ends.
+  const tx_hold_scope hold(endpoints_);
   std::size_t dispatched = 0;
   for (const attached& a : endpoints_) {
     if (a.views) {

@@ -15,15 +15,23 @@
 //
 // Receive is zero-copy: one recvmmsg(2) per batch lands datagrams
 // directly in slabs from the endpoint's buf_pool, handed out as pkt_views
-// (recv_batch_views). Send is synchronous: sendmsg(2) with a head+payload
-// gather (send_gather) or sendmmsg(2) per batch (send_batch). The legacy
-// bytes-returning recv_batch/poll copy once out of the slab so existing
-// callers run unchanged. This is the only transport; DESIGN.md §12 records
+// (recv_batch_views). The legacy bytes-returning recv_batch/poll copy once
+// out of the slab so existing callers run unchanged.
+//
+// Send is staged: send, send_gather and send_batch copy the datagram into
+// a per-endpoint tx arena and queue it; flush_tx() cuts the queue into
+// runs (same destination, equal length) and hands every run to the kernel
+// in one sendmmsg(2), a run of several datagrams as one UDP_SEGMENT (GSO)
+// message. Outside a hold each send flushes before it returns; event_loop
+// holds its endpoints while a pass dispatches, so everything the handlers
+// send leaves in one flush. Transmit needs sendmmsg(2) and UDP_SEGMENT,
+// so it is Linux-only. This is the only transport; DESIGN.md §12 records
 // the measurements that settled it.
 #pragma once
 
 #include <netinet/in.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -81,14 +89,19 @@ class udp_endpoint {
   // sources are dropped (and counted).
   void add_peer(peer_id peer, const std::string& ip, std::uint16_t port);
 
-  // Sends a datagram to a registered peer; false if the peer is unknown.
-  // Accepts any contiguous byte range — including a view into a pool slab
-  // (the kernel copies into the skb before sendmsg returns).
+  // Sends a datagram to a registered peer. The bytes are copied into the
+  // tx arena before the call returns, so any span will do, including a
+  // view into a pool slab or a scratch buffer reused for the next packet.
+  // False if the peer is unknown or the datagram exceeds kTxArenaBytes
+  // (nothing is staged then). Outside a hold the datagram is flushed at
+  // once and the result says whether the kernel took it; inside a hold it
+  // says the datagram was staged. Staging is per-endpoint state: one
+  // thread at a time may send on an endpoint.
   bool send(peer_id to, const_byte_span datagram);
 
-  // Gather send: head + payload as two iovecs in one sendmsg(2), so an
+  // Gather send: head + payload staged back to back as one datagram, so an
   // egress path holding a sealed header and a payload view never glues
-  // them into one buffer. Both spans are only read during the call.
+  // them into a buffer of its own. Same contract as send().
   bool send_gather(peer_id to, const_byte_span head, const_byte_span payload);
 
   // Non-blocking receive of one datagram from a registered peer.
@@ -108,13 +121,41 @@ class udp_endpoint {
   // into owned bytes. Counter semantics identical to recv_batch_views.
   std::size_t recv_batch(std::size_t max, std::vector<std::pair<peer_id, bytes>>& out);
 
-  // Batch send: transmits every datagram to `to` with one sendmmsg(2)
-  // call per chunk (loop fallback). Returns how many the kernel accepted;
-  // 0 if the peer is unknown.
+  // Batch send: stages every datagram to `to` and, outside a hold,
+  // flushes. Returns how many datagrams the kernel accepted (inside a
+  // hold: how many were staged); 0 if the peer is unknown.
   std::size_t send_batch(peer_id to, std::span<const bytes> datagrams);
 
-  // Largest number of datagrams one recv_batch/send_batch syscall covers.
+  // Tx hold: while at least one hold is open, sends only stage; the
+  // release of the last hold flushes. Holds nest. event_loop holds every
+  // attached endpoint for the length of a pass.
+  void hold_tx() { ++tx_holds_; }
+  void release_tx() {
+    if (tx_holds_ > 0 && --tx_holds_ == 0) flush_tx();
+  }
+
+  // Hands every staged datagram to the kernel and empties the queue.
+  // Consecutive datagrams to one destination with equal length form a run
+  // (a shorter one may end it); each run of two or more goes out as one
+  // UDP_SEGMENT message, and all runs leave in one sendmmsg(2). Transient
+  // failures retry kSendRetries times, then the rest is given up (UDP is
+  // lossy). A GSO message the kernel refuses is re-sent one datagram per
+  // message (counted in gso_fallback()). Returns the datagrams accepted.
+  std::size_t flush_tx();
+
+  // Datagrams staged and not yet flushed.
+  std::size_t tx_queued() const { return tx_count_; }
+
+  // Largest number of datagrams one recv_batch syscall covers.
   static constexpr std::size_t kBatchMax = 32;
+  // Staged datagrams that force a flush. Also the most segments a run
+  // holds: 64 is UDP_MAX_SEGMENTS on every kernel that has UDP GSO.
+  static constexpr std::size_t kTxQueueMax = 64;
+  // Tx arena size, and so the most bytes a run holds: the largest UDP
+  // payload an IPv4 datagram carries (64 KiB less the IP and UDP
+  // headers), which is also the GSO limit for one message. A send that
+  // would overflow the arena flushes first.
+  static constexpr std::size_t kTxArenaBytes = 65507;
 
   std::uint64_t sent() const { return sent_; }
   std::uint64_t received() const { return received_; }
@@ -134,10 +175,14 @@ class udp_endpoint {
   // the pool's slab_size knob is mis-sized for the deployment.
   std::uint64_t rx_truncated() const { return rx_truncated_; }
   // Transient send failures (EAGAIN/EWOULDBLOCK/EINTR — a full socket
-  // buffer) absorbed by the bounded retry loop in send/send_batch. A
-  // climbing value under load means the kernel buffer is the bottleneck,
-  // not the wire; exposed as net.udp.send_again.
+  // buffer) absorbed by the bounded retry loop in flush_tx. A climbing
+  // value under load means the kernel buffer is the bottleneck, not the
+  // wire; exposed as net.udp.send_again.
   std::uint64_t send_again() const { return send_again_; }
+  // GSO messages the kernel refused (EINVAL/EIO/EMSGSIZE — e.g. a segment
+  // above a real NIC's MTU) whose run was re-sent one datagram per
+  // message; exposed as net.udp.gso_fallback.
+  std::uint64_t gso_fallback() const { return gso_fallback_; }
 
   // The rx slab pool (sizing/exhaustion stats).
   const buf::buf_pool* pool() const { return pool_.get(); }
@@ -151,6 +196,7 @@ class udp_endpoint {
   // delta-synced at the end of every rx batch.
   void enable_telemetry(metrics_registry& reg) {
     m_send_again_ = &reg.get_counter("net.udp.send_again");
+    m_gso_fallback_ = &reg.get_counter("net.udp.gso_fallback");
     m_rx_truncated_ = &reg.get_counter("net.udp.rx_truncated");
     m_rx_errors_ = &reg.get_counter("net.udp.rx_errors");
     m_dropped_unknown_ = &reg.get_counter("net.udp.dropped_unknown");
@@ -166,6 +212,11 @@ class udp_endpoint {
   void sync_telemetry();
   std::size_t recv_into_slabs(std::size_t max,
                               std::vector<std::pair<peer_id, buf::pkt_view>>& out);
+  // Copies head+payload into the tx arena and queues it; false (nothing
+  // staged) if the peer is unknown or the datagram cannot fit the arena.
+  bool stage(peer_id to, const_byte_span head, const_byte_span payload);
+  // Length of the run starting at queue entry `first`.
+  std::size_t run_length(std::size_t first) const;
 
   int fd_ = -1;
   std::uint16_t port_ = 0;
@@ -186,7 +237,9 @@ class udp_endpoint {
   std::uint64_t rx_errors_ = 0;
   std::uint64_t rx_truncated_ = 0;
   std::uint64_t send_again_ = 0;
+  std::uint64_t gso_fallback_ = 0;
   counter* m_send_again_ = nullptr;
+  counter* m_gso_fallback_ = nullptr;
   counter* m_rx_truncated_ = nullptr;
   counter* m_rx_errors_ = nullptr;
   counter* m_dropped_unknown_ = nullptr;
@@ -194,8 +247,22 @@ class udp_endpoint {
   std::uint64_t last_rx_errors_ = 0;
   std::uint64_t last_dropped_unknown_ = 0;
 
-  // Transient send failures retry this many times before the datagram is
-  // given up on (UDP is lossy; upper layers own reliability).
+  // Tx staging: datagram i lives at tx_arena_[off, off + len). Reserved
+  // once at construction and reused, so sending allocates nothing.
+  struct tx_entry {
+    sockaddr_in to;
+    std::uint32_t off;
+    std::uint32_t len;
+  };
+  std::unique_ptr<std::uint8_t[]> tx_arena_;
+  std::array<tx_entry, kTxQueueMax> tx_queue_;
+  std::size_t tx_count_ = 0;
+  std::size_t tx_used_ = 0;  // arena bytes in use
+  std::size_t tx_holds_ = 0;
+
+  // Transient send failures retry this many times per flush before the
+  // rest of the queue is given up on (UDP is lossy; upper layers own
+  // reliability).
   static constexpr std::size_t kSendRetries = 4;
 };
 
@@ -257,8 +324,23 @@ class event_loop {
   };
 
   // One pass: fire due timers, drain readable sockets. Returns datagrams
-  // dispatched; `waited` reports whether it had to block.
+  // dispatched. Every attached endpoint's tx is held while timers and
+  // handlers run and flushed before the pass blocks or returns.
   std::size_t pass(std::chrono::milliseconds max_wait);
+
+  // Holds the tx of the endpoints attached when it is made; the
+  // destructor releases (and so flushes) them, also when a handler throws.
+  class tx_hold_scope {
+   public:
+    explicit tx_hold_scope(const std::vector<attached>& endpoints);
+    ~tx_hold_scope();
+    tx_hold_scope(const tx_hold_scope&) = delete;
+    tx_hold_scope& operator=(const tx_hold_scope&) = delete;
+
+   private:
+    const std::vector<attached>& endpoints_;
+    std::size_t held_;
+  };
 
   std::vector<attached> endpoints_;
   std::vector<std::pair<peer_id, bytes>> batch_scratch_;  // reused per pass

@@ -103,6 +103,31 @@ TEST(ServiceNode, SecondPacketUsesFastPath) {
   EXPECT_EQ(sn->cache().stats().hits, 1u);
 }
 
+// The decision cache's counters ride the SN's own registry: the first
+// packet misses and its verdict is inserted, the second hits.
+TEST(ServiceNode, CacheSeriesReachPrometheusExport) {
+  simulation net;
+  testing::identity_router route;
+  auto alice = make_host(net);
+  auto bob = make_host(net);
+  auto sn = make_sn(net, &route);
+  sn->env().deploy(std::make_unique<testing::forwarder_module>());
+
+  alice->mgr->send(sn->node_id(), delivery_header(bob->node), to_bytes("one"));
+  net.run();
+  alice->mgr->send(sn->node_id(), delivery_header(bob->node), to_bytes("two"));
+  net.run();
+
+  ASSERT_EQ(bob->received.size(), 2u);
+  const std::string prom = sn->export_prometheus();
+  EXPECT_NE(prom.find("\nsn_cache_misses 1\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nsn_cache_inserts 1\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nsn_cache_hits 1\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nsn_cache_evictions 0\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nsn_cache_invalidations 0\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nsn_cache_expired 0\n"), std::string::npos) << prom;
+}
+
 TEST(ServiceNode, ChainOfTwoSns) {
   // client -> SN1 -> SN2 -> server: the typical communication path (§3.2).
   simulation net;

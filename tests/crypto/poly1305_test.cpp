@@ -32,6 +32,17 @@ TEST(Poly1305, IncrementalMatchesOneShot) {
   }
 }
 
+// An empty update while bytes sit in the block buffer changes nothing.
+// The default span has a null data pointer, the case memcpy must not see.
+TEST(Poly1305, EmptyUpdateWithDataBuffered) {
+  const bytes key = from_hex("85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
+  const bytes msg = to_bytes("Cryptographic Forum Research Group");
+  poly1305 p(key.data());
+  p.update(msg);  // 34 bytes: 2 left in the buffer
+  p.update(const_byte_span{});
+  EXPECT_EQ(p.finish(), poly1305::mac(key.data(), msg));
+}
+
 TEST(Poly1305, DifferentKeysDifferentTags) {
   const bytes key_a(32, 0x11);
   const bytes key_b(32, 0x22);

@@ -47,6 +47,16 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+// An empty update while bytes sit in the block buffer changes nothing.
+// The default span has a null data pointer, the case memcpy must not see.
+TEST(Sha256, EmptyUpdateWithDataBuffered) {
+  const bytes msg = to_bytes("abc");
+  sha256 h;
+  h.update(msg);
+  h.update(const_byte_span{});
+  EXPECT_EQ(h.finish(), sha256::hash(msg));
+}
+
 TEST(Sha256, ExactBlockBoundaries) {
   // Messages of length 55, 56, 63, 64, 65 exercise every padding branch.
   for (std::size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u}) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -84,6 +85,7 @@ TEST(UdpEndpoint, RecvBatchCountsPartialDrains) {
 TEST(UdpEndpoint, SendAgainBoundedRetryAndTelemetry) {
   udp_endpoint a, b;
   a.add_peer(2, "127.0.0.1", b.port());
+  b.add_peer(1, "127.0.0.1", a.port());
 
   metrics_registry reg;
   a.enable_telemetry(reg);
@@ -95,13 +97,32 @@ TEST(UdpEndpoint, SendAgainBoundedRetryAndTelemetry) {
   const int tiny = 1;
   ASSERT_EQ(::setsockopt(a.fd(), SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)), 0);
 
+  // 1400-byte datagrams: one 64-datagram burst is two GSO runs (the
+  // arena holds 46 of them), each far above the squeezed buffer.
   const std::vector<bytes> burst(2 * udp_endpoint::kBatchMax, bytes(1400, 0xab));
   std::uint64_t accepted = 0;
+  std::size_t received = 0;
+  std::vector<std::pair<peer_id, buf::pkt_view>> got;
   for (int round = 0; round < 8; ++round) {
-    accepted += a.send_batch(2, burst);  // bounded retry: must return
+    const std::size_t n = a.send_batch(2, burst);  // bounded retry: must return
+    EXPECT_LE(n, burst.size());  // datagrams, not GSO messages
+    accepted += n;
+    // Drain between rounds; what arrives are single 1400-byte datagrams.
+    for (int attempt = 0; attempt < 200; ++attempt) {
+      got.clear();
+      if (b.recv_batch_views(udp_endpoint::kBatchMax, got) == 0) {
+        if (received >= accepted) break;
+        std::this_thread::sleep_for(1ms);
+      }
+      for (auto& [from, view] : got) EXPECT_EQ(view.size(), 1400u);
+      received += got.size();
+    }
   }
   EXPECT_LE(accepted, 8 * burst.size());
   EXPECT_EQ(a.sent(), accepted);  // only kernel-accepted datagrams count
+  EXPECT_EQ(a.tx_queued(), 0u);   // a flush empties the queue, taken or not
+  EXPECT_GT(received, 0u);
+  EXPECT_LE(received, accepted);  // the receive buffer may still drop some
   // Every transient the retry loop absorbed is mirrored to the metric.
   EXPECT_EQ(reg.get_counter("net.udp.send_again").value(), a.send_again());
 
@@ -109,6 +130,152 @@ TEST(UdpEndpoint, SendAgainBoundedRetryAndTelemetry) {
   ASSERT_TRUE(a.send(2, to_bytes("one more")));
   EXPECT_EQ(a.sent(), accepted + 1);
   EXPECT_EQ(reg.get_counter("net.udp.send_again").value(), a.send_again());
+}
+
+// ---- coalesced egress -------------------------------------------------
+
+// A datagram whose bytes name its sequence number, padded (or cut) to
+// `len`.
+bytes numbered(std::size_t seq, std::size_t len) {
+  bytes d(len, static_cast<std::uint8_t>(seq * 7 + 1));
+  const std::string tag = std::to_string(seq) + "|";
+  std::copy_n(tag.begin(), std::min(tag.size(), len), d.begin());
+  return d;
+}
+
+// Drains `rx` until `want` datagrams arrive, copying each out.
+std::vector<bytes> drain_bytes(udp_endpoint& rx, std::size_t want) {
+  std::vector<bytes> out;
+  std::vector<std::pair<peer_id, buf::pkt_view>> got;
+  for (int attempt = 0; attempt < 2000 && out.size() < want; ++attempt) {
+    got.clear();
+    if (rx.recv_batch_views(udp_endpoint::kBatchMax, got) == 0) {
+      std::this_thread::sleep_for(1ms);
+    }
+    for (auto& [from, view] : got) out.emplace_back(view.span().begin(), view.span().end());
+  }
+  return out;
+}
+
+// 100 equal-size datagrams sent from inside one event_loop pass: the first
+// 64 fill the queue and flush while the pass runs, the other 36 leave when
+// the pass ends. All arrive as single, byte-exact datagrams, in order.
+TEST(UdpCoalesce, HundredDatagramsInOnePassCrossTheSegmentCap) {
+  udp_endpoint a, b;
+  a.add_peer(2, "127.0.0.1", b.port());
+  b.add_peer(1, "127.0.0.1", a.port());
+
+  constexpr std::size_t kCount = 100;
+  std::vector<bytes> sent;
+  for (std::size_t i = 0; i < kCount; ++i) sent.push_back(numbered(i, 200));
+
+  event_loop loop;
+  loop.attach(a, [](peer_id, const_byte_span) {});
+  std::size_t queued_in_pass = 0;
+  std::uint64_t sent_in_pass = 0;
+  loop.schedule(0ms, [&] {
+    for (const bytes& d : sent) ASSERT_TRUE(a.send(2, d));
+    queued_in_pass = a.tx_queued();
+    sent_in_pass = a.sent();
+  });
+  loop.run_for(5ms);
+
+  EXPECT_EQ(sent_in_pass, udp_endpoint::kTxQueueMax);  // the cap forced one flush
+  EXPECT_EQ(queued_in_pass, kCount - udp_endpoint::kTxQueueMax);
+  EXPECT_EQ(a.tx_queued(), 0u);
+  EXPECT_EQ(a.sent(), kCount);
+  EXPECT_EQ(a.gso_fallback(), 0u);
+  EXPECT_EQ(drain_bytes(b, kCount), sent);
+}
+
+// Runs break on destination and length: interleaved peers, a shorter
+// datagram ending a run and a longer one starting the next. Each receiver
+// sees its own datagrams in send order, byte-exact.
+TEST(UdpCoalesce, InterleavedDestinationsAndSizesKeepOrder) {
+  udp_endpoint a, b, c;
+  a.add_peer(2, "127.0.0.1", b.port());
+  a.add_peer(3, "127.0.0.1", c.port());
+  b.add_peer(1, "127.0.0.1", a.port());
+  c.add_peer(1, "127.0.0.1", a.port());
+
+  // (peer, length) in send order.
+  const std::vector<std::pair<peer_id, std::size_t>> plan = {
+      {2, 300}, {2, 300}, {2, 300}, {3, 300}, {3, 300}, {2, 300}, {2, 300},
+      {2, 120},  // shorter: ends the run
+      {2, 300}, {2, 300},
+      {2, 500},  // longer: starts a new run
+      {2, 500}, {3, 64},  {3, 64},  {3, 64},  {3, 1},   {2, 0},   {2, 500}, {3, 900},
+  };
+  std::vector<bytes> to_b, to_c;
+  a.hold_tx();
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const bytes d = plan[i].second == 0 ? bytes{} : numbered(i, plan[i].second);
+    ASSERT_TRUE(a.send(plan[i].first, d));
+    (plan[i].first == 2 ? to_b : to_c).push_back(d);
+  }
+  EXPECT_EQ(a.sent(), 0u);  // all staged
+  EXPECT_EQ(a.tx_queued(), plan.size());
+  a.release_tx();
+  EXPECT_EQ(a.sent(), plan.size());
+
+  EXPECT_EQ(drain_bytes(b, to_b.size()), to_b);
+  EXPECT_EQ(drain_bytes(c, to_c.size()), to_c);
+}
+
+TEST(UdpCoalesce, UnknownPeerStagesNothing) {
+  udp_endpoint a, b;
+  a.add_peer(2, "127.0.0.1", b.port());
+  const std::vector<bytes> burst(3, to_bytes("x"));
+  a.hold_tx();
+  EXPECT_FALSE(a.send(99, to_bytes("x")));
+  EXPECT_FALSE(a.send_gather(99, to_bytes("head"), to_bytes("payload")));
+  EXPECT_EQ(a.send_batch(99, burst), 0u);
+  EXPECT_EQ(a.tx_queued(), 0u);
+  // A datagram larger than any UDP payload is refused the same way.
+  EXPECT_FALSE(a.send(2, bytes(udp_endpoint::kTxArenaBytes + 1, 0)));
+  EXPECT_EQ(a.tx_queued(), 0u);
+  a.release_tx();
+  EXPECT_EQ(a.sent(), 0u);
+}
+
+// A handler that throws mid-pass: the pass's hold is released on the way
+// out, so what it staged still leaves and later sends flush at once.
+TEST(UdpCoalesce, ThrowingHandlerLeavesNoEndpointHeld) {
+  udp_endpoint a, b;
+  a.add_peer(2, "127.0.0.1", b.port());
+  b.add_peer(1, "127.0.0.1", a.port());
+
+  event_loop loop;
+  loop.attach(a, [](peer_id, const_byte_span) {});
+  loop.schedule(0ms, [&] {
+    a.send(2, to_bytes("staged"));
+    throw std::runtime_error("handler failed");
+  });
+  EXPECT_THROW(loop.run_for(5ms), std::runtime_error);
+  EXPECT_EQ(a.tx_queued(), 0u);
+  EXPECT_EQ(a.sent(), 1u);
+  ASSERT_TRUE(a.send(2, to_bytes("direct")));
+  EXPECT_EQ(a.sent(), 2u);
+  EXPECT_EQ(drain_bytes(b, 2), (std::vector<bytes>{to_bytes("staged"), to_bytes("direct")}));
+}
+
+// SO_NO_CHECK makes the kernel refuse every GSO message (EINVAL): each run
+// falls back to one message per datagram, counted, and nothing is lost.
+TEST(UdpCoalesce, RefusedGsoFallsBackToSingleDatagrams) {
+  udp_endpoint a, b;
+  a.add_peer(2, "127.0.0.1", b.port());
+  b.add_peer(1, "127.0.0.1", a.port());
+  metrics_registry reg;
+  a.enable_telemetry(reg);
+  const int one = 1;
+  ASSERT_EQ(::setsockopt(a.fd(), SOL_SOCKET, SO_NO_CHECK, &one, sizeof(one)), 0);
+
+  std::vector<bytes> burst;
+  for (std::size_t i = 0; i < 10; ++i) burst.push_back(numbered(i, 100));
+  EXPECT_EQ(a.send_batch(2, burst), burst.size());
+  EXPECT_EQ(a.gso_fallback(), 1u);
+  EXPECT_EQ(reg.get_counter("net.udp.gso_fallback").value(), 1u);
+  EXPECT_EQ(drain_bytes(b, burst.size()), burst);
 }
 
 TEST(UdpEndpoint, ReusePortSharesOneBinding) {

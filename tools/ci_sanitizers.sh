@@ -3,7 +3,9 @@
 # ASan+UBSan and TSan (presets in CMakePresets.json). TSan is what keeps
 # the lock-free paths honest — sharded_counter stripes, concurrent
 # histogram records, the trace and span rings, slab refcounts, the flight
-# recorder and the sampling profiler's signal rings.
+# recorder and the sampling profiler's signal rings. UBSan is fatal in the
+# asan preset (-fno-sanitize-recover=undefined): an undefined-behaviour
+# report fails the test that hit it instead of only printing.
 #
 #   tools/ci_sanitizers.sh [asan|tsan]    # default: the release gate, then both
 set -e
@@ -44,7 +46,7 @@ run_preset() {
   # rings (buf_pool_test's handoff/concurrent cases are the tsan targets),
   # plus the real-socket transport — the one recvmmsg rx path, in-place
   # decrypt windows over pool slabs, view lifetimes through the event loop,
-  # and the SN forwarding out of those slabs with gather sendmsg.
+  # and the SN's forwards staged in the tx arena and flushed per pass.
   echo "== $preset: slab pool + transport (focused) =="
   ctest --preset "$preset" -R 'buf_pool_test|net_test' --output-on-failure
   # SLO health plane (ISSUE 7): the flight recorder's multi-producer
