@@ -1,5 +1,6 @@
 #include "crypto/aead.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace interedge::crypto {
@@ -25,27 +26,72 @@ poly_tag tag_with_poly_key(const std::uint8_t poly_key[kPolyKeySize], const_byte
   return mac.finish();
 }
 
-poly_tag compute_tag(const std::uint8_t key[kAeadKeySize], const std::uint8_t nonce[kAeadNonceSize],
-                     const_byte_span aad_a, const_byte_span aad_b, const_byte_span ciphertext) {
-  // One-time Poly1305 key = first 32 bytes of ChaCha20 block 0.
-  std::uint8_t block0[64];
-  chacha20_block(key, 0, nonce, block0);
-  return tag_with_poly_key(block0, aad_a, aad_b, ciphertext);
-}
+// Block 0 (the Poly1305 key) plus cipher blocks 1..3: one 4-lane SIMD
+// call, which covers every message of up to 192 bytes.
+constexpr std::size_t kOneCallBlocks = 4;
 
-// XORs `data` with the cipher-stream part of a precomputed keystream
-// (blocks 1.., i.e. keystream + 64).
-void xor_with_keystream(byte_span data, const_byte_span keystream) {
+// XORs `data` with the cipher-stream part of a keystream (blocks 1..,
+// i.e. keystream + 64). Bytes past what it covers, only for single-packet
+// messages over 192 B, come from chacha20_xor at the following counter.
+void xor_cipher_stream(byte_span data, const_byte_span keystream, const std::uint8_t* key,
+                       const std::uint8_t* nonce) {
   const std::uint8_t* ks = keystream.data() + kChaChaBlockSize;
+  const std::size_t covered = std::min(data.size(), keystream.size() - kChaChaBlockSize);
   std::size_t i = 0;
-  for (; i + 8 <= data.size(); i += 8) {
+  for (; i + 8 <= covered; i += 8) {
     std::uint64_t v, k;
     std::memcpy(&v, data.data() + i, 8);
     std::memcpy(&k, ks + i, 8);
     v ^= k;
     std::memcpy(data.data() + i, &v, 8);
   }
-  for (; i < data.size(); ++i) data[i] ^= ks[i];
+  for (; i < covered; ++i) data[i] ^= ks[i];
+  if (covered < data.size()) {
+    chacha20_xor(key, static_cast<std::uint32_t>(keystream.size() / kChaChaBlockSize), nonce,
+                 data.subspan(covered));
+  }
+}
+
+// The one seal and the one open: `key`/`nonce` are read only when the
+// keystream is shorter than the message needs.
+void seal_body(const_byte_span keystream, const std::uint8_t* key, const std::uint8_t* nonce,
+               const_byte_span aad_a, const_byte_span aad_b, const_byte_span plaintext,
+               byte_span out) {
+  if (out.data() != plaintext.data() && !plaintext.empty()) {
+    std::memmove(out.data(), plaintext.data(), plaintext.size());
+  }
+  byte_span ciphertext = out.first(plaintext.size());
+  xor_cipher_stream(ciphertext, keystream, key, nonce);
+  const poly_tag tag = tag_with_poly_key(keystream.data(), aad_a, aad_b, ciphertext);
+  std::memcpy(out.data() + plaintext.size(), tag.data(), tag.size());
+}
+
+bool open_body(const_byte_span keystream, const std::uint8_t* key, const std::uint8_t* nonce,
+               const_byte_span aad_a, const_byte_span aad_b, const_byte_span sealed,
+               byte_span out) {
+  if (sealed.size() < kAeadTagSize) return false;
+  const const_byte_span ciphertext = sealed.first(sealed.size() - kAeadTagSize);
+  const const_byte_span tag = sealed.last(kAeadTagSize);
+  const poly_tag expected = tag_with_poly_key(keystream.data(), aad_a, aad_b, ciphertext);
+  if (!ct_equal(const_byte_span(expected.data(), expected.size()), tag)) return false;
+  if (!ciphertext.empty()) std::memmove(out.data(), ciphertext.data(), ciphertext.size());
+  xor_cipher_stream(out.first(ciphertext.size()), keystream, key, nonce);
+  return true;
+}
+
+// Fills `ks` with blocks 0.. for a `len`-byte message, at most
+// kOneCallBlocks of them, in one chacha20_keystream_blocks call.
+const_byte_span one_call_keystream(const std::uint8_t key[kAeadKeySize],
+                                   const std::uint8_t nonce[kAeadNonceSize], std::size_t len,
+                                   std::uint8_t (&ks)[kOneCallBlocks * kChaChaBlockSize]) {
+  const std::size_t blocks = std::min(aead_keystream_blocks(len), kOneCallBlocks);
+  const std::uint32_t counters[kOneCallBlocks] = {0, 1, 2, 3};
+  std::uint8_t nonces[kOneCallBlocks * kAeadNonceSize] = {};
+  for (std::size_t b = 0; b < blocks; ++b) {
+    std::memcpy(nonces + kAeadNonceSize * b, nonce, kAeadNonceSize);
+  }
+  chacha20_keystream_blocks(key, counters, nonces, blocks, ks);
+  return const_byte_span(ks, blocks * kChaChaBlockSize);
 }
 
 }  // namespace
@@ -53,49 +99,28 @@ void xor_with_keystream(byte_span data, const_byte_span keystream) {
 void aead_seal_into(const std::uint8_t key[kAeadKeySize], const std::uint8_t nonce[kAeadNonceSize],
                     const_byte_span aad_a, const_byte_span aad_b, const_byte_span plaintext,
                     byte_span out) {
-  if (out.data() != plaintext.data() && !plaintext.empty()) {
-    std::memmove(out.data(), plaintext.data(), plaintext.size());
-  }
-  byte_span ciphertext = out.first(plaintext.size());
-  chacha20_xor(key, 1, nonce, ciphertext);
-  const poly_tag tag = compute_tag(key, nonce, aad_a, aad_b, ciphertext);
-  std::memcpy(out.data() + plaintext.size(), tag.data(), tag.size());
+  std::uint8_t ks[kOneCallBlocks * kChaChaBlockSize];
+  seal_body(one_call_keystream(key, nonce, plaintext.size(), ks), key, nonce, aad_a, aad_b,
+            plaintext, out);
 }
 
 bool aead_open_into(const std::uint8_t key[kAeadKeySize], const std::uint8_t nonce[kAeadNonceSize],
                     const_byte_span aad_a, const_byte_span aad_b, const_byte_span sealed,
                     byte_span out) {
   if (sealed.size() < kAeadTagSize) return false;
-  const const_byte_span ciphertext = sealed.first(sealed.size() - kAeadTagSize);
-  const const_byte_span tag = sealed.last(kAeadTagSize);
-  const poly_tag expected = compute_tag(key, nonce, aad_a, aad_b, ciphertext);
-  if (!ct_equal(const_byte_span(expected.data(), expected.size()), tag)) return false;
-  if (!ciphertext.empty()) std::memmove(out.data(), ciphertext.data(), ciphertext.size());
-  chacha20_xor(key, 1, nonce, out.first(ciphertext.size()));
-  return true;
+  std::uint8_t ks[kOneCallBlocks * kChaChaBlockSize];
+  return open_body(one_call_keystream(key, nonce, sealed.size() - kAeadTagSize, ks), key, nonce,
+                   aad_a, aad_b, sealed, out);
 }
 
 void aead_seal_with_keystream(const_byte_span keystream, const_byte_span aad_a,
                               const_byte_span aad_b, const_byte_span plaintext, byte_span out) {
-  if (out.data() != plaintext.data() && !plaintext.empty()) {
-    std::memmove(out.data(), plaintext.data(), plaintext.size());
-  }
-  byte_span ciphertext = out.first(plaintext.size());
-  xor_with_keystream(ciphertext, keystream);
-  const poly_tag tag = tag_with_poly_key(keystream.data(), aad_a, aad_b, ciphertext);
-  std::memcpy(out.data() + plaintext.size(), tag.data(), tag.size());
+  seal_body(keystream, nullptr, nullptr, aad_a, aad_b, plaintext, out);
 }
 
 bool aead_open_with_keystream(const_byte_span keystream, const_byte_span aad_a,
                               const_byte_span aad_b, const_byte_span sealed, byte_span out) {
-  if (sealed.size() < kAeadTagSize) return false;
-  const const_byte_span ciphertext = sealed.first(sealed.size() - kAeadTagSize);
-  const const_byte_span tag = sealed.last(kAeadTagSize);
-  const poly_tag expected = tag_with_poly_key(keystream.data(), aad_a, aad_b, ciphertext);
-  if (!ct_equal(const_byte_span(expected.data(), expected.size()), tag)) return false;
-  if (!ciphertext.empty()) std::memmove(out.data(), ciphertext.data(), ciphertext.size());
-  xor_with_keystream(out.first(ciphertext.size()), keystream);
-  return true;
+  return open_body(keystream, nullptr, nullptr, aad_a, aad_b, sealed, out);
 }
 
 bytes aead_seal(const std::uint8_t key[kAeadKeySize], const std::uint8_t nonce[kAeadNonceSize],

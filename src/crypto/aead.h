@@ -43,10 +43,11 @@ inline constexpr std::size_t aead_keystream_blocks(std::size_t plaintext_len) {
 
 // Keystream-supplied variants for the batched datapath: `keystream` holds
 // aead_keystream_blocks(len) * 64 bytes generated for this packet's nonce
-// with counters 0, 1, ... (see chacha20_keystream_blocks). Semantics match
-// aead_seal_into / aead_open_into exactly; no ChaCha state is initialized
-// per call, which is what lets a batch of small packets share the 4-block
-// SIMD kernels.
+// with counters 0, 1, ... (see chacha20_keystream_blocks), so a batch of
+// small packets shares the 4-block SIMD kernels. aead_seal_into and
+// aead_open_into run the same body on a keystream of their own: one
+// chacha20_keystream_blocks call for block 0 (the Poly1305 key) and
+// cipher blocks 1..3, covering any message of up to 192 bytes.
 void aead_seal_with_keystream(const_byte_span keystream, const_byte_span aad_a,
                               const_byte_span aad_b, const_byte_span plaintext, byte_span out);
 bool aead_open_with_keystream(const_byte_span keystream, const_byte_span aad_a,

@@ -1,5 +1,6 @@
 #include "crypto/chacha20.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/cpu_features.h"
@@ -184,7 +185,7 @@ __attribute__((target("sse2"))) inline void store_keystream_sse2(std::uint8_t* o
 
 // Four independent-stream blocks per call: same key rows, each block's
 // counter/nonce row supplied by the caller. Returns blocks consumed (a
-// multiple of 4); the scalar caller finishes the tail.
+// multiple of 4); the caller pads a 1..3 block tail to four lanes.
 __attribute__((target("sse2"))) std::size_t keystream_sse2(const std::uint32_t key_rows[12],
                                                            const std::uint32_t* counters,
                                                            const std::uint8_t* nonces,
@@ -339,34 +340,39 @@ __attribute__((target("avx2"))) inline void store_keystream_pair_avx2(std::uint8
                       _mm256_permute2x128_si256(rows[2], rows[3], 0x31));
 }
 
-// Four independent-stream blocks per iteration, two per 256-bit vector.
+// Initial state of the pair of independent-stream blocks lo, lo + 1.
+__attribute__((target("avx2"))) inline wstate pair_init(const wstate& key,
+                                                        const std::uint32_t* counters,
+                                                        const std::uint8_t* nonces,
+                                                        std::size_t lo) {
+  const std::uint8_t* n0 = nonces + 12 * lo;
+  const std::uint8_t* n1 = n0 + 12;
+  return wstate{key.a, key.b, key.c,
+                _mm256_set_epi32(static_cast<int>(load32(n1 + 8)), static_cast<int>(load32(n1 + 4)),
+                                 static_cast<int>(load32(n1)), static_cast<int>(counters[lo + 1]),
+                                 static_cast<int>(load32(n0 + 8)), static_cast<int>(load32(n0 + 4)),
+                                 static_cast<int>(load32(n0)), static_cast<int>(counters[lo]))};
+}
+
+// Four independent-stream blocks per iteration, two per 256-bit vector. A
+// remainder of exactly two runs as one pair alone, at about 60% of the
+// cost of a four-block pass. Returns blocks consumed; the caller pads a
+// remainder of one to a pair, and of three to four blocks.
 __attribute__((target("avx2"))) std::size_t keystream_avx2(const std::uint32_t key_rows[12],
                                                            const std::uint32_t* counters,
                                                            const std::uint8_t* nonces,
                                                            std::size_t n, std::uint8_t* out) {
-  const __m256i wa =
-      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows)));
-  const __m256i wb =
-      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows + 4)));
-  const __m256i wc =
-      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows + 8)));
+  // Rows a..c (constants + key) broadcast to both blocks of a pair.
+  const wstate key{
+      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows))),
+      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows + 4))),
+      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows + 8))),
+      _mm256_setzero_si256()};
   std::size_t done = 0;
   while (n - done >= 4) {
-    wstate init[2], w[2];
-    for (int p = 0; p < 2; ++p) {
-      const std::size_t lo = done + 2 * static_cast<std::size_t>(p);
-      const std::uint8_t* n0 = nonces + 12 * lo;
-      const std::uint8_t* n1 = n0 + 12;
-      init[p].a = wa;
-      init[p].b = wb;
-      init[p].c = wc;
-      init[p].d = _mm256_set_epi32(
-          static_cast<int>(load32(n1 + 8)), static_cast<int>(load32(n1 + 4)),
-          static_cast<int>(load32(n1)), static_cast<int>(counters[lo + 1]),
-          static_cast<int>(load32(n0 + 8)), static_cast<int>(load32(n0 + 4)),
-          static_cast<int>(load32(n0)), static_cast<int>(counters[lo]));
-      w[p] = init[p];
-    }
+    const wstate init[2] = {pair_init(key, counters, nonces, done),
+                            pair_init(key, counters, nonces, done + 2)};
+    wstate w[2] = {init[0], init[1]};
     for (int round = 0; round < 10; ++round) {
       double_round256(w[0]);
       double_round256(w[1]);
@@ -374,6 +380,13 @@ __attribute__((target("avx2"))) std::size_t keystream_avx2(const std::uint32_t k
     store_keystream_pair_avx2(out + 64 * done, w[0], init[0]);
     store_keystream_pair_avx2(out + 64 * done + 128, w[1], init[1]);
     done += 4;
+  }
+  if (n - done == 2) {
+    const wstate init = pair_init(key, counters, nonces, done);
+    wstate w = init;
+    for (int round = 0; round < 10; ++round) double_round256(w);
+    store_keystream_pair_avx2(out + 64 * done, w, init);
+    done += 2;
   }
   return done;
 }
@@ -446,6 +459,21 @@ void chacha20_xor(const std::uint8_t key[kChaChaKeySize], std::uint32_t counter,
   } else if (level == simd_level::sse2) {
     offset = xor_sse2_bulk(s, data.data(), data.size());
   }
+  if (level != simd_level::scalar && offset < data.size()) {
+    // The last 1..4 blocks: one padded keystream call instead of scalar blocks.
+    const std::size_t rest = data.size() - offset;
+    std::uint32_t counters[4] = {};
+    std::uint8_t nonces[4 * kChaChaNonceSize] = {};
+    std::uint8_t ks[4 * kChaChaBlockSize];  // written by the kernel before it is read
+    for (std::size_t b = 0; b < 4; ++b) {
+      counters[b] = s[12] + static_cast<std::uint32_t>(b);
+      std::memcpy(nonces + kChaChaNonceSize * b, nonce, kChaChaNonceSize);
+    }
+    const std::size_t blocks = (rest + kChaChaBlockSize - 1) / kChaChaBlockSize;
+    chacha20_keystream_blocks(key, counters, nonces, blocks, ks);
+    for (std::size_t i = 0; i < rest; ++i) data[offset + i] ^= ks[i];
+    return;
+  }
 #endif
   if (offset < data.size()) {
     xor_scalar_from_state(s, data.data() + offset, data.size() - offset);
@@ -455,22 +483,36 @@ void chacha20_xor(const std::uint8_t key[kChaChaKeySize], std::uint32_t counter,
 void chacha20_keystream_blocks(const std::uint8_t key[kChaChaKeySize],
                                const std::uint32_t* counters, const std::uint8_t* nonces,
                                std::size_t n, std::uint8_t* out) {
-  std::size_t done = 0;
 #ifdef INTEREDGE_CHACHA_SIMD
-  if (n >= 4) {
+  const simd_level level = active_simd_level();
+  if (level != simd_level::scalar && n > 0) {
     // Words 0..11 (constants + key) are shared by every stream.
     std::uint32_t key_rows[16];
     std::uint8_t zero_nonce[kChaChaNonceSize] = {};
     init_state(key_rows, key, 0, zero_nonce);  // only words 0..11 are used
-    const simd_level level = active_simd_level();
-    if (level == simd_level::avx2) {
-      done = keystream_avx2(key_rows, counters, nonces, n, out);
-    } else if (level == simd_level::sse2) {
-      done = keystream_sse2(key_rows, counters, nonces, n, out);
+    const auto kernel = level == simd_level::avx2 ? keystream_avx2 : keystream_sse2;
+    const std::size_t done = kernel(key_rows, counters, nonces, n, out);
+    if (const std::size_t tail = n - done; tail > 0) {
+      // 1..3 blocks left: one more pass whose unused lanes repeat the last
+      // row, through a 256-byte stack block: four lanes, or on AVX2 one
+      // pair when a single block is left.
+      const std::size_t lanes = level == simd_level::avx2 && tail == 1 ? 2 : 4;
+      std::uint32_t pad_counters[4] = {};
+      std::uint8_t pad_nonces[4 * kChaChaNonceSize] = {};
+      std::uint8_t block[4 * kChaChaBlockSize];  // written by the kernel before it is read
+      for (std::size_t b = 0; b < lanes; ++b) {
+        const std::size_t src = done + std::min(b, tail - 1);
+        pad_counters[b] = counters[src];
+        std::memcpy(pad_nonces + kChaChaNonceSize * b, nonces + kChaChaNonceSize * src,
+                    kChaChaNonceSize);
+      }
+      kernel(key_rows, pad_counters, pad_nonces, lanes, block);
+      std::memcpy(out + kChaChaBlockSize * done, block, kChaChaBlockSize * tail);
     }
+    return;
   }
 #endif
-  for (; done < n; ++done) {
+  for (std::size_t done = 0; done < n; ++done) {
     chacha20_block(key, counters[done], nonces + 12 * done, out + 64 * done);
   }
 }

@@ -1,10 +1,13 @@
 // ChaCha20 stream cipher (RFC 8439): 256-bit key, 96-bit nonce,
 // 32-bit block counter.
 //
-// chacha20_xor is the datapath hot loop: it processes four keystream
-// blocks per iteration and XORs word-wise, with SSE2/AVX2 backends
-// selected at runtime via the cpu_features probe. The scalar core stays
-// exported so tests can prove the vectorized paths bit-identical.
+// The SSE2/AVX2 kernels run four blocks per pass, selected at runtime via
+// the cpu_features probe. chacha20_keystream_blocks is the datapath entry
+// point: it serves every header seal/open, single-packet or batched, and
+// pads a 1..3 block tail into one more SIMD pass (four lanes, or one AVX2
+// pair for a block or two), so even a lone header costs one SIMD call. chacha20_xor covers bulk bytes the same way. The
+// scalar core stays exported so tests can prove the vectorized paths
+// bit-identical; it runs on the datapath only at simd_level::scalar.
 #pragma once
 
 #include <array>
@@ -33,9 +36,10 @@ void chacha20_xor_scalar(const std::uint8_t key[kChaChaKeySize], std::uint32_t c
 
 // Generates `n` independent 64-byte keystream blocks sharing one key:
 // block i uses counters[i] and the 12-byte nonce at nonces + 12*i. This is
-// the batched-datapath entry point — it feeds the 4-block SIMD kernels
-// with blocks from *different packets* of one pipe, so small-packet AEAD
-// work vectorizes even though each packet needs only a block or two.
+// the datapath entry point — it feeds the 4-block SIMD kernels with blocks
+// from *different packets* of one pipe (or the blocks of one packet), so
+// small-packet AEAD work vectorizes even though each packet needs only a
+// block or two.
 void chacha20_keystream_blocks(const std::uint8_t key[kChaChaKeySize],
                                const std::uint32_t* counters, const std::uint8_t* nonces,
                                std::size_t n, std::uint8_t* out);

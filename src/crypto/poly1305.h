@@ -26,13 +26,14 @@ class poly1305 {
   }
 
  private:
-  void block(const std::uint8_t* m, std::uint32_t hibit) { blocks(m, 1, hibit); }
+  static constexpr std::uint64_t kHibit = std::uint64_t{1} << 40;  // 2^128 in the top limb
+  void block(const std::uint8_t* m, std::uint64_t hibit) { blocks(m, 1, hibit); }
   // Accumulates `count` consecutive 16-byte blocks with r, s and h held in
   // locals across the whole run (the hot loop of the AEAD tag).
-  void blocks(const std::uint8_t* m, std::size_t count, std::uint32_t hibit);
-  std::uint32_t r_[5];
-  std::uint32_t h_[5];
-  std::uint32_t pad_[4];
+  void blocks(const std::uint8_t* m, std::size_t count, std::uint64_t hibit);
+  std::uint64_t r_[3];  // radix 2^44 limbs
+  std::uint64_t h_[3];
+  std::uint64_t pad_[2];
   std::array<std::uint8_t, 16> buffer_;
   std::size_t buffered_ = 0;
 };

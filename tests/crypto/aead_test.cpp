@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "crypto/cpu_features.h"
+
 namespace interedge::crypto {
 namespace {
 
@@ -73,6 +77,62 @@ TEST(Aead, TooShortInputRejected) {
   const bytes key(32, 1);
   const bytes nonce(12, 2);
   EXPECT_FALSE(aead_open(key.data(), nonce.data(), {}, bytes(5, 0)).has_value());
+}
+
+// The one-call seal/open (one padded keystream call up to 192 B, then
+// chacha20_xor past it) must give the same bytes on every backend as the
+// scalar reference, at lengths around every block edge, with an empty and
+// a split AAD. Open runs in place with `out` aliasing the ciphertext, and
+// a flipped tag bit is rejected without touching `out`, which there
+// aliases the ciphertext too.
+TEST(Aead, SealOpenIdenticalOnEveryBackend) {
+  bytes key(kAeadKeySize), nonce(kAeadNonceSize);
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i * 11 + 3);
+  for (std::size_t i = 0; i < nonce.size(); ++i) nonce[i] = static_cast<std::uint8_t>(i * 5 + 1);
+  const bytes aad = to_bytes("spi||iv and then some context");
+  const const_byte_span aad_a = const_byte_span(aad).first(12);
+  const const_byte_span aad_b = const_byte_span(aad).subspan(12);
+
+  const simd_level saved = active_simd_level();
+  for (const std::size_t len :
+       {0, 1, 15, 16, 48, 63, 64, 65, 127, 128, 191, 192, 193, 255, 256, 257, 1400}) {
+    bytes plaintext(len);
+    for (std::size_t i = 0; i < len; ++i) plaintext[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    for (const bool split : {false, true}) {
+      const const_byte_span a = split ? aad_a : const_byte_span{};
+      const const_byte_span b = split ? aad_b : const_byte_span{};
+      set_simd_level(simd_level::scalar);
+      bytes reference(len + kAeadTagSize);
+      aead_seal_into(key.data(), nonce.data(), a, b, plaintext, reference);
+
+      for (simd_level level : {simd_level::scalar, simd_level::sse2, simd_level::avx2}) {
+        set_simd_level(level);
+        if (active_simd_level() != level) continue;
+        const std::string where = "len=" + std::to_string(len) +
+                                  " split=" + std::to_string(split) +
+                                  " backend=" + simd_level_name(level);
+        bytes sealed(len + kAeadTagSize);
+        aead_seal_into(key.data(), nonce.data(), a, b, plaintext, sealed);
+        EXPECT_EQ(sealed, reference) << where;
+
+        bytes tampered = sealed;
+        tampered.back() ^= 0x01;
+        const bytes before = tampered;
+        EXPECT_FALSE(aead_open_into(key.data(), nonce.data(), a, b, tampered,
+                                    byte_span(tampered).first(len)))
+            << where;
+        EXPECT_EQ(tampered, before) << where;
+
+        EXPECT_TRUE(aead_open_into(key.data(), nonce.data(), a, b, sealed,
+                                   byte_span(sealed).first(len)))
+            << where;
+        EXPECT_EQ(bytes(sealed.begin(), sealed.begin() + static_cast<std::ptrdiff_t>(len)),
+                  plaintext)
+            << where;
+      }
+    }
+  }
+  set_simd_level(saved);
 }
 
 // Property sweep over payload sizes including block boundaries.

@@ -191,25 +191,26 @@ TEST(ChaCha20, VectorizedHandlesUnalignedBuffers) {
   }
 }
 
-// The multi-stream batch entry point: N blocks with independent
-// counter/nonce rows (one pair per block, as the PSP batch path supplies
-// them) must equal chacha20_block run N times, on every backend. The
-// count is chosen so the 4-wide kernels run twice plus a scalar tail.
+// The multi-stream entry point: n blocks with independent counter/nonce
+// rows (one pair per block, as the PSP batch path supplies them) must
+// equal chacha20_block run n times, on every backend. n runs over 1..12,
+// so every tail (none, an AVX2 pair, one block padded to a pair, three
+// padded to four) follows zero, one and two full 4-lane passes.
 TEST(ChaCha20, KeystreamBlocksMatchesBlockFunctionPerStream) {
   bytes key(kChaChaKeySize);
   for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i * 7 + 9);
 
-  constexpr std::size_t kBlocks = 11;  // 2 SIMD quads + 3 scalar tail blocks
-  std::uint32_t counters[kBlocks];
-  bytes nonces(kBlocks * kChaChaNonceSize);
-  for (std::size_t b = 0; b < kBlocks; ++b) {
+  constexpr std::size_t kMaxBlocks = 12;
+  std::uint32_t counters[kMaxBlocks];
+  bytes nonces(kMaxBlocks * kChaChaNonceSize);
+  for (std::size_t b = 0; b < kMaxBlocks; ++b) {
     counters[b] = static_cast<std::uint32_t>(b % 3);  // distinct streams, repeated counters
     for (std::size_t i = 0; i < kChaChaNonceSize; ++i)
       nonces[b * kChaChaNonceSize + i] = static_cast<std::uint8_t>(b * 41 + i * 3 + 1);
   }
 
-  bytes expected(kBlocks * kChaChaBlockSize);
-  for (std::size_t b = 0; b < kBlocks; ++b) {
+  bytes expected(kMaxBlocks * kChaChaBlockSize);
+  for (std::size_t b = 0; b < kMaxBlocks; ++b) {
     chacha20_block(key.data(), counters[b], nonces.data() + b * kChaChaNonceSize,
                    expected.data() + b * kChaChaBlockSize);
   }
@@ -218,9 +219,17 @@ TEST(ChaCha20, KeystreamBlocksMatchesBlockFunctionPerStream) {
   for (simd_level level : {simd_level::scalar, simd_level::sse2, simd_level::avx2}) {
     set_simd_level(level);
     if (active_simd_level() != level) continue;
-    bytes out(kBlocks * kChaChaBlockSize);
-    chacha20_keystream_blocks(key.data(), counters, nonces.data(), kBlocks, out.data());
-    EXPECT_EQ(out, expected) << "backend=" << simd_level_name(level);
+    for (std::size_t n = 1; n <= kMaxBlocks; ++n) {
+      // One guard block past the end proves the padded tail writes only n.
+      bytes out((n + 1) * kChaChaBlockSize, 0xee);
+      chacha20_keystream_blocks(key.data(), counters, nonces.data(), n, out.data());
+      const auto size = static_cast<std::ptrdiff_t>(n * kChaChaBlockSize);
+      EXPECT_EQ(bytes(out.begin(), out.begin() + size),
+                bytes(expected.begin(), expected.begin() + size))
+          << "n=" << n << " backend=" << simd_level_name(level);
+      EXPECT_EQ(bytes(out.end() - kChaChaBlockSize, out.end()), bytes(kChaChaBlockSize, 0xee))
+          << "n=" << n << " backend=" << simd_level_name(level);
+    }
   }
 }
 

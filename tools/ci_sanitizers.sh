@@ -7,6 +7,9 @@
 # asan preset (-fno-sanitize-recover=undefined): an undefined-behaviour
 # report fails the test that hit it instead of only printing.
 #
+# Every focused pass anchors its -R regex (^...$), so a name that merely
+# contains another (simnet_test holds net_test) does not run twice.
+#
 #   tools/ci_sanitizers.sh [asan|tsan]    # default: the release gate, then both
 set -e
 cd "$(dirname "$0")/.."
@@ -35,26 +38,32 @@ run_preset() {
   # teardown/retry edges (pipe erasure while probes are in flight, shed
   # verdicts installed mid-batch) where lifetime and ordering bugs hide.
   echo "== $preset: fault matrix (focused) =="
-  ctest --preset "$preset" -R 'failover_test|simnet_test' --output-on-failure
+  ctest --preset "$preset" -R '^(failover_test|simnet_test)$' --output-on-failure
   # Path tracing (ISSUE 5): the span recorders are SPSC rings, and the
   # collector is ingested from several threads while an operator
   # assembles (trace_collector_test) — tsan's bread and butter. Plus the
   # end-to-end path_trace scenarios.
   echo "== $preset: path tracing (focused) =="
-  ctest --preset "$preset" -R 'trace_collector_test|path_trace_test' --output-on-failure
+  ctest --preset "$preset" -R '^(trace_collector_test|path_trace_test)$' --output-on-failure
   # Zero-copy datapath (ISSUE 6): slab refcounts crossing threads and SPSC
   # rings (buf_pool_test's handoff/concurrent cases are the tsan targets),
   # plus the real-socket transport — the one recvmmsg rx path, in-place
   # decrypt windows over pool slabs, view lifetimes through the event loop,
   # and the SN's forwards staged in the tx arena and flushed per pass.
   echo "== $preset: slab pool + transport (focused) =="
-  ctest --preset "$preset" -R 'buf_pool_test|net_test' --output-on-failure
+  ctest --preset "$preset" -R '^(buf_pool_test|net_test)$' --output-on-failure
+  # Header crypto: the padded 1..3 block keystream tail runs through a
+  # 256-byte stack block, and the one-call AEAD opens in place with out
+  # aliasing the ciphertext; asan with fatal UBSan guards both, at every
+  # SIMD level the equivalence tests force.
+  echo "== $preset: crypto (focused) =="
+  ctest --preset "$preset" -R '^crypto_test$' --output-on-failure
   # SLO health plane (ISSUE 7): the flight recorder's multi-producer
   # seqlock ring with a racing snapshot reader and a mid-run freeze is the
   # tsan target (health_test); the end-to-end binary drives the burn-rate
   # page path into a black-box freeze.
   echo "== $preset: health plane + flight recorder (focused) =="
-  ctest --preset "$preset" -R 'health_test|slo_health_test' --output-on-failure
+  ctest --preset "$preset" -R '^(health_test|slo_health_test)$' --output-on-failure
   # Profiling plane (ISSUE 10): an async-signal handler writing per-thread
   # SPSC rings while the control thread drains and tears threads down.
   # ConcurrentSamplingDrainAndTeardown fires live SIGPROF at 1993Hz into
@@ -62,7 +71,7 @@ run_preset() {
   # touches nothing but the ring's atomics and its slot memory, asan that
   # teardown never races a late signal into freed memory.
   echo "== $preset: sampling profiler (focused) =="
-  ctest --preset "$preset" -R prof_test --output-on-failure
+  ctest --preset "$preset" -R '^prof_test$' --output-on-failure
   # Scenario engine (ISSUE 9): the adversarial + churn suites drive every
   # subsystem at once on the simulator's one thread — flood-driven shed,
   # cache purges on protect/allow and peer-down, liveness teardown with
@@ -70,7 +79,7 @@ run_preset() {
   # push path mid-page. asan owns those lifetime edges (pipes torn down
   # with packets in flight).
   echo "== $preset: scenario suites (focused) =="
-  ctest --preset "$preset" -R scenario_test --output-on-failure
+  ctest --preset "$preset" -R '^scenario_test$' --output-on-failure
 }
 
 case "${1:-all}" in
