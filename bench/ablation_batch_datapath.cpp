@@ -179,14 +179,14 @@ void BM_IngressDatapath(benchmark::State& state) {
 }
 
 // Same chain with full telemetry enabled the way service_node enables it:
-// registry-backed datapath counters, per-stage histograms, 1/256 packet
-// sampling into the trace ring. The ISSUE 2 acceptance bar is ≤2% off the
-// untraced arm at batch 32 — compare against BM_IngressDatapath/32.
+// registry-backed datapath counters and per-stage span histograms. The
+// acceptance bar is ≤2% off the untraced arm at batch 32 — compare
+// against BM_IngressDatapath/32.
 void BM_IngressDatapath_Telemetry(benchmark::State& state) {
   datapath dp;
   metrics_registry reg;
-  trace::tracer tracer(reg, trace::tracer::config{.hop = 2, .sample_shift = 8});
-  dp.terminus->enable_telemetry(reg, &tracer);
+  trace::tracer tracer(reg);
+  dp.terminus->enable_telemetry(reg);
   trace::scoped_tracer st(&tracer);
 
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
@@ -208,13 +208,10 @@ void BM_IngressDatapath_Telemetry(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
   // Surface the stage timings the tracer accumulated, so the bench JSON
   // carries the per-stage story alongside the throughput numbers.
-  state.counters["parse_p50_ns"] = static_cast<double>(
-      tracer.stage_hist(trace::stage::parse).quantile(0.5));
   state.counters["decrypt_p50_ns"] = static_cast<double>(
       tracer.stage_hist(trace::stage::decrypt).quantile(0.5));
   state.counters["ingress_p50_ns"] = static_cast<double>(
       tracer.stage_hist(trace::stage::ingress).quantile(0.5));
-  state.counters["sampled"] = static_cast<double>(tracer.sampled());
 }
 
 // Same chain with the fault-tolerant lifecycle enabled the way a live SN
@@ -262,9 +259,9 @@ void BM_IngressDatapath_Robustness(benchmark::State& state) {
 
 // Continuous profiling plane (ISSUE 10) layered on the robustness arm,
 // the way a live SN runs it: the bench thread registered with an armed
-// sampling profiler at the default 97Hz and a cycle_set installed so the
-// datapath's internal cycle_scope attribution (decrypt, terminus,
-// slowpath) is live. The SIGPROF handler is the entire steady-state cost —
+// sampling profiler at the default 97Hz and a tracer installed so the
+// datapath's stage spans (decrypt, ingress, slowpath) and their self-time
+// totals are live. The SIGPROF handler is the entire steady-state cost —
 // draining/symbolizing happens on health ticks in production and stays
 // OUT of the timed loop here. This TU's heap audit doubles as proof the
 // handler never allocates. Acceptance (ISSUE 10): <2% pkts/s off
@@ -278,8 +275,9 @@ void BM_IngressDatapath_Profiled(benchmark::State& state) {
   prof::profiler profiler(prof::profiler_config{.sample_hz = 97, .ring_slots = 4096});
   profiler.register_current_thread("bench");
   profiler.arm();
-  prof::cycle_set cycles;
-  prof::scoped_cycle_set ambient(&cycles);
+  metrics_registry reg;
+  trace::tracer tracer(reg);
+  trace::scoped_tracer ambient(&tracer);
 
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   const std::vector<bytes> wires = dp.preseal(batch, 256);
@@ -313,10 +311,10 @@ void BM_IngressDatapath_Profiled(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
   state.counters["samples"] = static_cast<double>(profiler.total_samples());
   state.counters["sample_drops"] = static_cast<double>(profiler.total_dropped());
-  state.counters["decrypt_cycles"] =
-      static_cast<double>(cycles.self[static_cast<std::size_t>(prof::cycle_stage::decrypt)]);
-  state.counters["terminus_cycles"] =
-      static_cast<double>(cycles.self[static_cast<std::size_t>(prof::cycle_stage::terminus)]);
+  state.counters["decrypt_self_ns"] =
+      static_cast<double>(tracer.self_ns(trace::stage::decrypt));
+  state.counters["ingress_self_ns"] =
+      static_cast<double>(tracer.self_ns(trace::stage::ingress));
 }
 
 // Cross-hop path tracing (ISSUE 5) layered on the robustness arm, the way

@@ -3,7 +3,7 @@
 //   * string lookup (mutex + map per event) vs a cached counter& — the
 //     migration the service modules went through; expected ≥10x;
 //   * plain counter vs sharded_counter under multi-threaded contention;
-//   * histogram record and tracer sampler costs, the per-event prices the
+//   * histogram record and stage-span costs, the per-event prices the
 //     <2% datapath overhead budget (DESIGN.md §8) is built from;
 //   * exposition cost for a registry of realistic size.
 // The cross-hop arms (ISSUE 5) price the path-tracing building blocks the
@@ -111,25 +111,15 @@ void BM_HistogramRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// Per-packet sampler cost: one relaxed fetch_add + mask compare.
-void BM_TracerSampleTick(benchmark::State& state) {
-  metrics_registry reg;
-  trace::tracer tr(reg, trace::tracer::config{.sample_shift = 8});
-  bool hit = false;
-  for (auto _ : state) {
-    hit ^= tr.sample_tick();
-  }
-  benchmark::DoNotOptimize(hit);
-  state.SetItemsProcessed(state.iterations());
-}
-
-// Span over the current tracer: two clock reads + a histogram record.
+// The datapath's one stage timer, per span: two clock reads, a histogram
+// record and a relaxed self-time add. The datapath opens one per stage per
+// batch (decrypt, ingress, slow-path drain, service dispatch).
 void BM_TracerSpan(benchmark::State& state) {
   metrics_registry reg;
   trace::tracer tr(reg);
   trace::scoped_tracer st(&tr);
   for (auto _ : state) {
-    trace::span s(trace::stage::cache);
+    trace::span s(trace::stage::ingress);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -335,30 +325,6 @@ void BM_FlightRecorderSnapshot(benchmark::State& state) {
 
 // ---- continuous profiling plane (ISSUE 10) micro-costs ----------------
 
-// The two costs a cycle_scope pays on entry+exit when a cycle_set is
-// installed: two rdtsc reads plus two relaxed atomic adds. This is the
-// per-stage attribution price the datapath pays per BATCH (not per
-// packet) — decrypt, terminus, slowpath each open one scope per batch.
-void BM_ProfCycleScope(benchmark::State& state) {
-  prof::cycle_set set;
-  prof::scoped_cycle_set ambient(&set);
-  for (auto _ : state) {
-    prof::cycle_scope s(prof::cycle_stage::decrypt);
-    benchmark::DoNotOptimize(&s);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-// The same scope with NO ambient set — the price every deployment with
-// the profiler off pays: two TLS loads, nothing else.
-void BM_ProfCycleScopeDisarmed(benchmark::State& state) {
-  for (auto _ : state) {
-    prof::cycle_scope s(prof::cycle_stage::decrypt);
-    benchmark::DoNotOptimize(&s);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
 // The handler-side cost: one SPSC ring push of a captured stack (the
 // unwind itself depends on stack depth; this is the fixed part).
 void BM_ProfRingPush(benchmark::State& state) {
@@ -432,7 +398,6 @@ BENCHMARK(BM_CounterLabeledLookup);
 BENCHMARK(BM_CounterContended)->Threads(1)->Threads(4)->Threads(8);
 BENCHMARK(BM_ShardedCounterContended)->Threads(1)->Threads(4)->Threads(8);
 BENCHMARK(BM_HistogramRecord);
-BENCHMARK(BM_TracerSampleTick);
 BENCHMARK(BM_TracerSpan);
 BENCHMARK(BM_ExportPrometheus);
 BENCHMARK(BM_TraceCtxCodec);
@@ -445,8 +410,6 @@ BENCHMARK(BM_TimeseriesFractionAbove);
 BENCHMARK(BM_SloEvaluate);
 BENCHMARK(BM_FlightRecorderRecord)->Threads(1)->Threads(4);
 BENCHMARK(BM_FlightRecorderSnapshot);
-BENCHMARK(BM_ProfCycleScope);
-BENCHMARK(BM_ProfCycleScopeDisarmed);
 BENCHMARK(BM_ProfRingPush);
 BENCHMARK(BM_ProfDrainIdle);
 BENCHMARK(BM_ProfFoldedExport);

@@ -72,15 +72,12 @@ int main(int argc, char** argv) {
   port_router route;
   real_clock clk;
   const int profile_secs = static_cast<int>(flags.get_int("profile", 0));
-  // trace_sample_shift = 0: sample every packet, so a handful of demo
-  // datagrams still populate the per-stage histograms and the trace ring.
   // --profile=N arms the sampling profiler on the event-loop thread; 997Hz
   // (prime, so it never phase-locks with a periodic workload) gives ~1k
   // samples per profiled second.
   core::service_node sn(
       core::sn_config{.id = id_sn,
                       .edomain = 1,
-                      .trace_sample_shift = 0,
                       .profiler_hz = profile_secs > 0 ? 997u : 0u},
       clk, [&](net::peer_id to, bytes d) { ep_sn.send(to, d); }, loop.scheduler(), &route);
   // Socket counters (net.udp.*) land in the SN registry and show up in the
@@ -206,19 +203,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ep_sn.received()));
 
   // The exposition surface (ISSUE 2): per-stage latency quantiles from the
-  // packet tracer, then the full registry in Prometheus text format —
+  // stage spans, then the full registry in Prometheus text format —
   // per-service rx counters (sn_rx_pkts{service=...}) included.
-  std::printf("\nper-stage latency (ns), every packet sampled:\n");
-  for (trace::stage s : {trace::stage::parse, trace::stage::decrypt, trace::stage::cache,
-                         trace::stage::emit}) {
+  std::printf("\nper-stage latency (ns), one span per batch or dispatch:\n");
+  for (trace::stage s : {trace::stage::ingress, trace::stage::decrypt, trace::stage::slowpath,
+                         trace::stage::service}) {
     const histogram& h = sn.packet_tracer().stage_hist(s);
     std::printf("  %-8s count=%-5llu p50=%-7llu p99=%llu\n", trace::stage_name(s),
                 static_cast<unsigned long long>(h.count()),
                 static_cast<unsigned long long>(h.quantile(0.5)),
                 static_cast<unsigned long long>(h.quantile(0.99)));
   }
-
-  std::printf("\nrecent sampled packet traces:\n%s", sn.packet_tracer().dump(8).c_str());
 
   // Cross-hop path traces (ISSUE 5): fold the host-side origin/deliver
   // spans into the SN's collector, then dump reassembled alice->SN->bob
@@ -230,6 +225,7 @@ int main(int argc, char** argv) {
     sn.traces().ingest(std::span<const trace::path_span>(host_spans));
     std::printf("\npath traces (host->SN->host), JSON dump:\n%s\n",
                 sn.export_trace_json(4).c_str());
+    std::printf("\nthe same traces, one line per hop:\n%s", sn.traces().render_text(4).c_str());
   }
 
   std::printf("\nPrometheus exposition:\n%s", sn.metrics().export_prometheus().c_str());

@@ -45,10 +45,10 @@ run_gbench ablation_enclave --benchmark_min_time=0.05
 echo
 # Includes the profiling-plane overhead arm (ISSUE 10):
 # BM_IngressDatapath_Profiled rides this binary — the robustness datapath
-# with a 97Hz sampling profiler armed on the bench thread and per-stage
-# cycle attribution live. Compare pkts/s against
+# with a 97Hz sampling profiler armed on the bench thread and the stage
+# spans' self-time totals live. Compare pkts/s against
 # BM_IngressDatapath_Robustness at the same batch; budget is <2% at 32.
-# The profiler micro-costs (cycle_scope, ring push, drain, symbolize)
+# The span and profiler micro-costs (span, ring push, drain, symbolize)
 # live in ablation_observability below.
 run_gbench ablation_batch_datapath --benchmark_min_time=0.05
 echo

@@ -35,15 +35,6 @@
 
 namespace interedge::prof {
 
-const char* cycle_stage_name(cycle_stage s) {
-  switch (s) {
-    case cycle_stage::decrypt: return "decrypt";
-    case cycle_stage::terminus: return "terminus";
-    case cycle_stage::slowpath: return "slowpath";
-  }
-  return "?";
-}
-
 const char* backend_name(backend b) {
   switch (b) {
     case backend::none: return "none";
@@ -51,34 +42,6 @@ const char* backend_name(backend b) {
     case backend::timer_signal: return "timer_signal";
   }
   return "?";
-}
-
-// ---- cycle attribution -------------------------------------------------
-
-namespace {
-thread_local cycle_set* t_cycles = nullptr;
-thread_local cycle_scope* t_scope = nullptr;
-}  // namespace
-
-cycle_set* cycle_current() { return t_cycles; }
-
-scoped_cycle_set::scoped_cycle_set(cycle_set* s) : prev_(t_cycles) { t_cycles = s; }
-scoped_cycle_set::~scoped_cycle_set() { t_cycles = prev_; }
-
-cycle_scope::cycle_scope(cycle_stage s)
-    : set_(t_cycles), parent_(t_scope), stage_(s) {
-  if (set_ == nullptr) return;
-  t_scope = this;
-  start_ = rdtsc();
-}
-
-cycle_scope::~cycle_scope() {
-  if (set_ == nullptr) return;
-  std::uint64_t elapsed = rdtsc() - start_;
-  t_scope = parent_;
-  // Self time: nested scopes already claimed child_ of this span.
-  set_->add(stage_, elapsed >= child_ ? elapsed - child_ : 0);
-  if (parent_ != nullptr && parent_->set_ == set_) parent_->child_ += elapsed;
 }
 
 // ---- sample ring -------------------------------------------------------

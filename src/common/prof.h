@@ -1,5 +1,5 @@
 // Continuous profiling plane (ISSUE 10): an in-process on-CPU sampling
-// profiler plus rdtsc-based per-stage cycle attribution.
+// profiler.
 //
 // Sampling side. Each registered thread gets a trigger that fires SIGPROF
 // at `sample_hz` of *CPU time* (not wall time — an idle thread is never
@@ -25,17 +25,10 @@
 // renders FlameGraph-collapsed folded text, JSON, and a top-N hot
 // function table.
 //
-// Attribution side. cycle_scope{stage} is a batch-granularity RAII rdtsc
-// bracket over the three datapath stages (decrypt, terminus, slow-path;
-// egress seal and send run inside terminus). Scopes nest: a child's cycles are subtracted from
-// its parent, so per-stage totals are self-time and sum without double
-// counting. Totals land in a thread-local cycle_set (installed with
-// scoped_cycle_set, mirroring trace::scoped_tracer) that the health tick
-// folds into per-stage cycle-share gauges — the cheap cross-check for
-// what the sampled stacks say.
+// The exact per-stage split the sampled stacks are checked against is the
+// stage spans' self-time (trace::span, common/trace.h).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstddef>
@@ -44,83 +37,7 @@
 #include <string>
 #include <vector>
 
-#if defined(__x86_64__) || defined(_M_X64)
-#include <x86intrin.h>
-#endif
-
 namespace interedge::prof {
-
-// ---- rdtsc cycle attribution -------------------------------------------
-
-enum class cycle_stage : std::uint8_t {
-  decrypt = 0,  // PSP open of sealed ILP headers (batch)
-  terminus,     // verdict dispatch over the decrypted batch, egress included
-  slowpath,     // slow-path channel drain + service dispatch
-};
-inline constexpr std::size_t kCycleStageCount = 3;
-const char* cycle_stage_name(cycle_stage s);
-
-inline std::uint64_t rdtsc() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return __rdtsc();
-#elif defined(__aarch64__)
-  std::uint64_t v;
-  asm volatile("mrs %0, cntvct_el0" : "=r"(v));
-  return v;
-#else
-  return 0;
-#endif
-}
-
-// Per-thread stage cycle totals. Writers are the owning thread's
-// cycle_scopes; the health tick reads cross-thread, so the slots are
-// relaxed atomics (free on x86, and keeps tsan honest).
-struct cycle_set {
-  std::array<std::atomic<std::uint64_t>, kCycleStageCount> self{};
-
-  void add(cycle_stage s, std::uint64_t cycles) {
-    self[static_cast<std::size_t>(s)].fetch_add(cycles, std::memory_order_relaxed);
-  }
-  std::uint64_t total() const {
-    std::uint64_t t = 0;
-    for (const auto& v : self) t += v.load(std::memory_order_relaxed);
-    return t;
-  }
-};
-
-// Thread-local ambient cycle set (same pattern as trace::current()).
-cycle_set* cycle_current();
-
-class scoped_cycle_set {
- public:
-  explicit scoped_cycle_set(cycle_set* s);
-  ~scoped_cycle_set();
-  scoped_cycle_set(const scoped_cycle_set&) = delete;
-  scoped_cycle_set& operator=(const scoped_cycle_set&) = delete;
-
- private:
-  cycle_set* prev_;
-};
-
-// RAII rdtsc bracket attributing self-time to `s` on the current thread's
-// cycle_set. Nesting-aware: on close, the elapsed cycles minus any nested
-// scopes' cycles are credited to this stage, and the full elapsed span is
-// reported up to the parent scope as child time. ~4 ns/pair; intended at
-// batch granularity only (see DESIGN.md §15 for the budget math).
-class cycle_scope {
- public:
-  explicit cycle_scope(cycle_stage s);
-  ~cycle_scope();
-  cycle_scope(const cycle_scope&) = delete;
-  cycle_scope& operator=(const cycle_scope&) = delete;
-
- private:
-  cycle_set* set_;
-  cycle_scope* parent_;
-  cycle_stage stage_;
-  std::uint64_t start_ = 0;
-  std::uint64_t child_ = 0;
-};
 
 // ---- sampling profiler -------------------------------------------------
 

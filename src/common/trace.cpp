@@ -1,15 +1,12 @@
 #include "common/trace.h"
 
 #include <bit>
-#include <sstream>
-
-#include "common/logging.h"
 
 namespace interedge::trace {
 namespace {
 
 thread_local tracer* g_current = nullptr;
-thread_local int g_depth = 0;
+thread_local span* g_open = nullptr;  // innermost open span on this thread
 
 std::size_t round_up_pow2(std::size_t v) {
   if (v < 2) return 2;
@@ -21,77 +18,18 @@ std::size_t round_up_pow2(std::size_t v) {
 const char* stage_name(stage s) {
   switch (s) {
     case stage::ingress: return "ingress";
-    case stage::parse: return "parse";
     case stage::decrypt: return "decrypt";
-    case stage::cache: return "cache";
-    case stage::emit: return "emit";
     case stage::slowpath: return "slowpath";
     case stage::service: return "service";
   }
   return "?";
 }
 
-tracer::tracer(metrics_registry& reg) : tracer(reg, config()) {}
-
-tracer::tracer(metrics_registry& reg, config cfg)
-    : hop_(cfg.hop),
-      sample_mask_((1ull << cfg.sample_shift) - 1),
-      ring_(round_up_pow2(cfg.ring_capacity)),
-      ring_mask_(ring_.size() - 1) {
+tracer::tracer(metrics_registry& reg) {
   for (std::size_t i = 0; i < kStageCount; ++i) {
     stage_hists_[i] =
         &reg.get_histogram(std::string("sn.stage.") + stage_name(static_cast<stage>(i)));
   }
-}
-
-void tracer::capture(stage s, std::uint64_t start_ns, std::uint64_t duration_ns, char verdict) {
-  const std::uint64_t slot = captures_.fetch_add(1, std::memory_order_relaxed);
-  trace_record& r = ring_[slot & ring_mask_];
-  r.seq = slot;
-  r.hop = hop_;
-  r.st = s;
-  r.depth = static_cast<std::uint8_t>(g_depth);
-  r.start_ns = start_ns;
-  r.duration_ns = duration_ns;
-  r.verdict = verdict;
-}
-
-std::vector<trace_record> tracer::recent(std::size_t limit) const {
-  const std::uint64_t written = captures_.load(std::memory_order_relaxed);
-  // Wrap accounting: captures past ring capacity since the last export
-  // were overwritten before any reader saw them. Count them (they used to
-  // vanish silently) and warn once per burst — the flag rearms when an
-  // export finds no loss, so a steady overload doesn't spam the log.
-  const std::uint64_t mark = read_mark_.exchange(written, std::memory_order_relaxed);
-  const std::uint64_t unread = written - mark;
-  if (unread > ring_.size()) {
-    const std::uint64_t lost = unread - ring_.size();
-    dropped_records_.fetch_add(lost, std::memory_order_relaxed);
-    if (!wrap_warned_.exchange(true, std::memory_order_relaxed)) {
-      IE_LOG(warn) << "trace" << kv("hop", hop_) << kv("dropped_records", lost)
-                   << kv("ring_capacity", ring_.size());
-    }
-  } else {
-    wrap_warned_.store(false, std::memory_order_relaxed);
-  }
-  std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(written, ring_.size()));
-  if (limit != 0 && limit < n) n = limit;
-  std::vector<trace_record> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(written - 1 - i) & ring_mask_]);
-  }
-  return out;
-}
-
-std::string tracer::dump(std::size_t limit) const {
-  std::ostringstream os;
-  for (const trace_record& r : recent(limit)) {
-    os << "trace seq=" << r.seq << " hop=" << r.hop << " stage=" << stage_name(r.st)
-       << " depth=" << static_cast<int>(r.depth) << " dur=" << r.duration_ns
-       << "ns verdict=" << r.verdict << "\n";
-  }
-  return os.str();
 }
 
 tracer* current() { return g_current; }
@@ -99,21 +37,19 @@ tracer* current() { return g_current; }
 scoped_tracer::scoped_tracer(tracer* t) : prev_(g_current) { g_current = t; }
 scoped_tracer::~scoped_tracer() { g_current = prev_; }
 
-int span_depth() { return g_depth; }
-
-span::span(stage s, bool capture) : t_(g_current), stage_(s), capture_(capture) {
+span::span(stage s) : t_(g_current), stage_(s) {
   if (t_ == nullptr) return;
-  depth_ = static_cast<std::uint8_t>(g_depth);
-  ++g_depth;
+  parent_ = g_open;
+  g_open = this;
   start_ = now_ns();
 }
 
 span::~span() {
   if (t_ == nullptr) return;
-  const std::uint64_t dur = now_ns() - start_;
-  --g_depth;
-  t_->record_stage(stage_, dur);
-  if (capture_) t_->capture(stage_, start_, dur, verdict_);
+  const std::uint64_t elapsed = now_ns() - start_;
+  g_open = parent_;
+  t_->record(stage_, elapsed, elapsed >= child_ns_ ? elapsed - child_ns_ : 0);
+  if (parent_ != nullptr) parent_->child_ns_ += elapsed;
 }
 
 // ---- cross-hop path tracing (ISSUE 5) ---------------------------------

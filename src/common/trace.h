@@ -1,15 +1,14 @@
-// Per-hop packet tracing (ISSUE 2; Hermes-style per-hop latency
-// accounting). A tracer owns one histogram per datapath stage plus a ring
-// buffer of recent sampled per-packet records. Instrumentation sites bind
-// to the *current* tracer through a thread-local (scoped_tracer), so the
-// ilp/core layers need no plumbed-through telemetry parameters and pay a
-// single TLS load + null check when tracing is off.
+// Datapath stage timing (Hermes-style per-hop cost accounting).
+// A tracer owns one histogram per datapath stage plus per-stage self-time
+// totals. Instrumentation sites bind to the *current* tracer through a
+// thread-local (scoped_tracer), so the ilp/core layers need no plumbed-
+// through telemetry parameters and pay a single TLS load + null check when
+// tracing is off.
 //
-// Cost model (overhead budget in DESIGN.md §8):
-//   * batch-granularity stage spans — a handful of clock reads per batch;
-//   * one relaxed fetch_add per packet for the deterministic sampler;
-//   * full per-packet stage timestamps and ring captures only for sampled
-//     packets (1 in 2^sample_shift, default 1/256).
+// Cost model (overhead budget in DESIGN.md §8): spans are batch-granular —
+// two clock reads, one histogram record and one relaxed add per stage per
+// batch. Per-packet detail is the path tracer's job (origin-sampled
+// trace contexts, below).
 #pragma once
 
 #include <array>
@@ -26,16 +25,16 @@
 
 namespace interedge::trace {
 
+// The SN's datapath stages: the one vocabulary for stage histograms
+// (sn.stage.<name>) and the profiler's share gauges
+// (sn.profile.stage_share{stage=<name>}).
 enum class stage : std::uint8_t {
-  ingress = 0,  // terminus receive batch: cache consults, verdicts, drain
-  parse,        // wire-format parse + header decode
-  decrypt,      // PSP open of the sealed ILP headers
-  cache,        // decision-cache lookup
-  emit,         // fast-path verdict apply (forward/deliver/drop)
+  ingress = 0,  // terminus receive: cache consults, verdicts, egress
+  decrypt,      // wire parse + PSP open + header decode
   slowpath,     // slow-path channel drain
   service,      // service-module on_packet dispatch
 };
-inline constexpr std::size_t kStageCount = 7;
+inline constexpr std::size_t kStageCount = 4;
 const char* stage_name(stage s);
 
 inline std::uint64_t now_ns() {
@@ -43,89 +42,37 @@ inline std::uint64_t now_ns() {
       std::chrono::steady_clock::now().time_since_epoch().count());
 }
 
-// Verdict tags for sampled records.
+// Verdict tags carried by path spans.
 inline constexpr char kVerdictForward = 'F';
 inline constexpr char kVerdictDeliver = 'D';
 inline constexpr char kVerdictDrop = 'X';
 inline constexpr char kVerdictNone = '-';
 
-// One sampled measurement: stage `st` on hop `hop` took `duration_ns`,
-// nested `depth` spans deep, for sampled packet number `seq`.
-struct trace_record {
-  std::uint64_t seq = 0;
-  std::uint64_t hop = 0;
-  stage st = stage::ingress;
-  std::uint8_t depth = 0;
-  std::uint64_t start_ns = 0;
-  std::uint64_t duration_ns = 0;
-  char verdict = kVerdictNone;
-};
-
 class tracer {
  public:
-  struct config {
-    std::uint64_t hop = 0;            // node id stamped into records
-    std::uint32_t sample_shift = 8;   // sample 1 in 2^shift packets
-    std::size_t ring_capacity = 512;  // rounded up to a power of two
-  };
-
   // Stage histograms are interned into `reg` as sn.stage.<name> so the
   // exposition surface covers them automatically.
   explicit tracer(metrics_registry& reg);
-  tracer(metrics_registry& reg, config cfg);
-
-  // Deterministic sampler: advances the packet sequence and reports
-  // whether this packet is traced (every 2^sample_shift-th, starting at 0).
-  bool sample_tick() {
-    return (seq_.fetch_add(1, std::memory_order_relaxed) & sample_mask_) == 0;
-  }
-
-  // Batch form: claims `n` consecutive sequence numbers with one atomic
-  // and returns the first; test each packet with sample_hit(base + i).
-  std::uint64_t sample_tick_batch(std::uint64_t n) {
-    return seq_.fetch_add(n, std::memory_order_relaxed);
-  }
-  bool sample_hit(std::uint64_t seq) const { return (seq & sample_mask_) == 0; }
 
   histogram& stage_hist(stage s) { return *stage_hists_[static_cast<std::size_t>(s)]; }
-  void record_stage(stage s, std::uint64_t duration_ns) { stage_hist(s).record(duration_ns); }
 
-  // Pushes a sampled per-packet record into the ring (lock-free, may
-  // overwrite the oldest record under wrap).
-  void capture(stage s, std::uint64_t start_ns, std::uint64_t duration_ns,
-               char verdict = kVerdictNone);
-
-  // Most-recent-first copy of the ring (bounded by capacity). Records that
-  // wrapped out of the ring between reads are accounted in
-  // dropped_records() and warned about (once per wrap burst) rather than
-  // vanishing silently.
-  std::vector<trace_record> recent(std::size_t limit = 0) const;
-  // Human-readable dump of recent records, one per line.
-  std::string dump(std::size_t limit = 32) const;
-
-  std::uint64_t packets_seen() const { return seq_.load(std::memory_order_relaxed); }
-  std::uint64_t sampled() const { return captures_.load(std::memory_order_relaxed); }
-  // Captures that wrapped past a reader without ever appearing in a
-  // recent() export (cumulative; see recent()).
-  std::uint64_t dropped_records() const {
-    return dropped_records_.load(std::memory_order_relaxed);
+  // Cumulative self-time of `s` in ns: span time minus the time of spans
+  // nested inside it, so the stages sum without double counting. Written
+  // by the datapath thread, read by the health tick on any thread.
+  std::uint64_t self_ns(stage s) const {
+    return self_ns_[static_cast<std::size_t>(s)].load(std::memory_order_relaxed);
   }
-  std::uint64_t hop() const { return hop_; }
+
+  // One closed span: inclusive time into the histogram, self time into
+  // the totals.
+  void record(stage s, std::uint64_t inclusive_ns, std::uint64_t exclusive_ns) {
+    stage_hist(s).record(inclusive_ns);
+    self_ns_[static_cast<std::size_t>(s)].fetch_add(exclusive_ns, std::memory_order_relaxed);
+  }
 
  private:
-  std::uint64_t hop_;
-  std::uint64_t sample_mask_;
   std::array<histogram*, kStageCount> stage_hists_{};
-  std::atomic<std::uint64_t> seq_{0};
-  std::atomic<std::uint64_t> captures_{0};  // ring sequence
-  std::vector<trace_record> ring_;
-  std::size_t ring_mask_;
-  // Export-side accounting (mutable: recent() is logically const). The
-  // read mark is the capture sequence the last export reached; captures
-  // beyond ring capacity since then were overwritten unread.
-  mutable std::atomic<std::uint64_t> read_mark_{0};
-  mutable std::atomic<std::uint64_t> dropped_records_{0};
-  mutable std::atomic<bool> wrap_warned_{false};
+  std::array<std::atomic<std::uint64_t>, kStageCount> self_ns_{};
 };
 
 // Thread-local current tracer. Instrumentation in lower layers (pipe
@@ -145,29 +92,23 @@ class scoped_tracer {
   tracer* prev_;
 };
 
-// Current span-stack depth on this thread (0 outside any span).
-int span_depth();
-
-// RAII stage span over the current tracer: records elapsed nanoseconds
-// into the stage histogram; with `capture`, also pushes a per-packet ring
-// record at the depth the span opened at. No-op when no tracer is current.
+// RAII stage span over the current tracer. Spans nest through a
+// thread-local parent pointer: on close the elapsed time goes into the
+// stage histogram, and the elapsed time minus the nested spans' time into
+// the stage's self-time total. No-op when no tracer is current.
 class span {
  public:
-  explicit span(stage s, bool capture = false);
+  explicit span(stage s);
   ~span();
   span(const span&) = delete;
   span& operator=(const span&) = delete;
 
-  // Tags the ring record (fast-path verdicts); ignored without `capture`.
-  void set_verdict(char v) { verdict_ = v; }
-
  private:
   tracer* t_;
+  span* parent_ = nullptr;
   stage stage_;
-  bool capture_;
-  char verdict_ = kVerdictNone;
-  std::uint8_t depth_ = 0;
   std::uint64_t start_ = 0;
+  std::uint64_t child_ns_ = 0;  // closed nested spans' elapsed time
 };
 
 // ---- cross-hop path tracing (ISSUE 5) ---------------------------------
@@ -228,9 +169,9 @@ class path_recorder {
   };
   explicit path_recorder(config cfg);
 
-  // Origin-side sampling decision (deterministic 1/2^k, same scheme as
-  // tracer::sample_tick). Mid-path hops never call this: they honor the
-  // sampled bit the origin stamped into the context.
+  // Origin-side sampling decision (deterministic: every 2^k-th call).
+  // Mid-path hops never call this: they honor the sampled bit the origin
+  // stamped into the context.
   bool sample_tick() {
     return (seq_.fetch_add(1, std::memory_order_relaxed) & sample_mask_) == 0;
   }

@@ -1,7 +1,6 @@
 #include "core/pipe_terminus.h"
 
 #include "common/logging.h"
-#include "common/prof.h"
 
 namespace interedge::core {
 
@@ -29,9 +28,8 @@ packet to_owned(packet_view&& p) {
 pipe_terminus::pipe_terminus(decision_cache& cache, slowpath_channel& channel, forward_fn forward)
     : cache_(cache), channel_(channel), forward_(std::move(forward)) {}
 
-void pipe_terminus::enable_telemetry(metrics_registry& reg, trace::tracer* tracer) {
+void pipe_terminus::enable_telemetry(metrics_registry& reg) {
   reg_ = &reg;
-  tracer_ = tracer;
   m_fast_ = &reg.get_counter("sn.fastpath.pkts");
   m_slow_ = &reg.get_counter("sn.slowpath.pkts");
   m_forwarded_ = &reg.get_counter("sn.tx.forwarded");
@@ -88,7 +86,7 @@ void pipe_terminus::flush_telemetry() {
 }
 
 void pipe_terminus::shed_packet(peer_id l3_src, const ilp::ilp_header& header,
-                                const_byte_span payload, bool sampled) {
+                                const_byte_span payload) {
   decision d = decision::drop_packet();  // fail closed unless policy says pass
   auto it = shed_verdicts_.find(header.service);
   if (it != shed_verdicts_.end()) d = it->second;
@@ -100,17 +98,17 @@ void pipe_terminus::shed_packet(peer_id l3_src, const ilp::ilp_header& header,
   IE_LOG(debug) << "terminus" << kv("shed", ilp::svc::name(header.service))
                 << kv("conn", header.connection)
                 << kv("in_flight", in_flight_.size());
-  apply_or_trace(d, header, payload, sampled, trace::kAnnoShed);
+  apply_or_trace(d, header, payload, trace::kAnnoShed);
 }
 
 void pipe_terminus::apply_or_trace(const decision& d, const ilp::ilp_header& header,
-                                   const_byte_span payload, bool sampled, std::uint16_t anno) {
+                                   const_byte_span payload, std::uint16_t anno) {
   if (auto tc = sampled_ctx(header)) {
     apply_with_path(d, header, payload, *tc, anno, trace::span_kind::hop_fast,
                     path_rec_->now(), path_rec_->next_span_id());
     return;
   }
-  apply_traced(d, header, payload, sampled);
+  apply(d, header, payload);
 }
 
 void pipe_terminus::apply_with_path(const decision& d, const ilp::ilp_header& header,
@@ -177,8 +175,8 @@ bool pipe_terminus::submit_bounded(const slowpath_request& req, bool is_control)
 }
 
 void pipe_terminus::handle(packet pkt) {
+  trace::span ingress_span(trace::stage::ingress);
   ++stats_.received;
-  const bool sampled = tracer_ != nullptr && tracer_->sample_tick();
 
   // Control-plane packets always reach the service module: they mutate
   // service state and must not be short-circuited by a stale decision.
@@ -187,7 +185,7 @@ void pipe_terminus::handle(packet pkt) {
     const cache_key key{pkt.l3_src, pkt.header.service, pkt.header.connection};
     if (auto d = cache_.lookup(key)) {
       ++stats_.fast_path;
-      apply_or_trace(*d, pkt.header, pkt.payload, sampled, 0);
+      apply_or_trace(*d, pkt.header, pkt.payload, 0);
       if (reg_ != nullptr) {
         service_rx_counter(pkt.header.service).add();
         flush_telemetry();
@@ -197,7 +195,7 @@ void pipe_terminus::handle(packet pkt) {
   }
 
   if (!is_control && should_shed()) {
-    shed_packet(pkt.l3_src, pkt.header, pkt.payload, sampled);
+    shed_packet(pkt.l3_src, pkt.header, pkt.payload);
     if (reg_ != nullptr) {
       service_rx_counter(pkt.header.service).add();
       flush_telemetry();
@@ -216,7 +214,7 @@ void pipe_terminus::handle(packet pkt) {
   if (!submit_bounded(req, is_control)) {
     // Channel stayed full through the retry budget: shed instead of
     // blocking the fast path behind a wedged slow path.
-    shed_packet(pkt.l3_src, pkt.header, pkt.payload, sampled);
+    shed_packet(pkt.l3_src, pkt.header, pkt.payload);
     if (reg_ != nullptr) {
       service_rx_counter(pkt.header.service).add();
       flush_telemetry();
@@ -240,11 +238,6 @@ void pipe_terminus::handle_batch(std::span<packet_view> pkts) { handle_batch_imp
 template <typename P>
 void pipe_terminus::handle_batch_impl(std::span<P> pkts) {
   trace::span batch_span(trace::stage::ingress);
-  prof::cycle_scope cyc(prof::cycle_stage::terminus);
-  // One atomic claims the whole batch's sampler sequence range; per packet
-  // the sampling decision is then a mask compare on a register.
-  std::uint64_t sample_base = 0;
-  if (tracer_ != nullptr) sample_base = tracer_->sample_tick_batch(pkts.size());
 
   // Same-key run memo: bursts from one flow pay for one cache lookup.
   bool have_memo = false;
@@ -267,32 +260,21 @@ void pipe_terminus::handle_batch_impl(std::span<P> pkts) {
     tally_count = 1;
   };
 
-  std::uint64_t pkt_index = 0;
   for (P& pkt : pkts) {
     ++stats_.received;
     tally_rx(pkt.header.service);
-    const bool sampled =
-        tracer_ != nullptr && tracer_->sample_hit(sample_base + pkt_index);
-    ++pkt_index;
     const bool is_control = (pkt.header.flags & ilp::kFlagControl) != 0;
     if (!is_control) {
       const cache_key key{pkt.l3_src, pkt.header.service, pkt.header.connection};
       if (have_memo && key == memo_key) {
         ++stats_.fast_path;
-        apply_or_trace(memo_decision, pkt.header, pkt.payload, sampled, 0);
+        apply_or_trace(memo_decision, pkt.header, pkt.payload, 0);
         continue;
       }
-      std::uint64_t lookup_start = 0;
-      if (sampled) lookup_start = trace::now_ns();
       auto d = cache_.lookup(key);
-      if (sampled) {
-        const std::uint64_t dur = trace::now_ns() - lookup_start;
-        tracer_->record_stage(trace::stage::cache, dur);
-        tracer_->capture(trace::stage::cache, lookup_start, dur);
-      }
       if (d) {
         ++stats_.fast_path;
-        apply_or_trace(*d, pkt.header, pkt.payload, sampled, 0);
+        apply_or_trace(*d, pkt.header, pkt.payload, 0);
         memo_key = key;
         memo_decision = std::move(*d);
         have_memo = true;
@@ -301,7 +283,7 @@ void pipe_terminus::handle_batch_impl(std::span<P> pkts) {
     }
 
     if (!is_control && should_shed()) {
-      shed_packet(pkt.l3_src, pkt.header, pkt.payload, sampled);
+      shed_packet(pkt.l3_src, pkt.header, pkt.payload);
       // The shed verdict just became a cache entry; let same-flow
       // packets later in this batch hit it via the memo.
       memo_key = cache_key{pkt.l3_src, pkt.header.service, pkt.header.connection};
@@ -320,7 +302,7 @@ void pipe_terminus::handle_batch_impl(std::span<P> pkts) {
 
     const std::uint64_t token = req.token;
     if (!submit_bounded(req, is_control)) {
-      shed_packet(pkt.l3_src, pkt.header, pkt.payload, sampled);
+      shed_packet(pkt.l3_src, pkt.header, pkt.payload);
       continue;
     }
     auto ptc = sampled_ctx(pkt.header);
@@ -333,7 +315,6 @@ void pipe_terminus::handle_batch_impl(std::span<P> pkts) {
   // Drain the slow-path channel once per batch, not once per packet.
   if (submitted) {
     trace::span drain_span(trace::stage::slowpath);
-    prof::cycle_scope cys(prof::cycle_stage::slowpath);
     pump();
   }
 
@@ -399,19 +380,6 @@ void pipe_terminus::complete(slowpath_response resp) {
     ++stats_.forwarded;
   }
   apply(resp.verdict, p.pkt.header, p.pkt.payload);
-}
-
-void pipe_terminus::apply_traced(const decision& d, const ilp::ilp_header& header,
-                                 const_byte_span payload, bool sampled) {
-  if (!sampled) {
-    apply(d, header, payload);
-    return;
-  }
-  const std::uint64_t start = trace::now_ns();
-  apply(d, header, payload);
-  const std::uint64_t dur = trace::now_ns() - start;
-  tracer_->record_stage(trace::stage::emit, dur);
-  tracer_->capture(trace::stage::emit, start, dur, verdict_char(d.kind));
 }
 
 void pipe_terminus::apply(const decision& d, const ilp::ilp_header& header,

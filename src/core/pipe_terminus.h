@@ -88,11 +88,11 @@ class pipe_terminus {
 
   // Observability (ISSUE 2): resolves lock-free metric handles in `reg`
   // (per-service rx families, path counters, drop counters, an in-flight
-  // gauge) and installs the tracer used for sampled per-packet stage
-  // captures. Without this call the terminus maintains only its plain
-  // stats struct. Handle increments are batched per handle_batch call, so
-  // the per-packet telemetry cost is a couple of register increments.
-  void enable_telemetry(metrics_registry& reg, trace::tracer* tracer);
+  // gauge). Without this call the terminus maintains only its plain stats
+  // struct. Handle increments are batched per handle_batch call, so the
+  // per-packet telemetry cost is a couple of register increments. Stage
+  // spans go to whichever trace::tracer is current on the calling thread.
+  void enable_telemetry(metrics_registry& reg);
 
   // Cross-hop path tracing (ISSUE 5): packets whose sealed header carries
   // a sampled trace context emit hop spans (fast path, slow path, shed,
@@ -140,9 +140,6 @@ class pipe_terminus {
   void handle_batch_impl(std::span<P> pkts);
 
   void apply(const decision& d, const ilp::ilp_header& header, const_byte_span payload);
-  // apply() plus sampled emit-stage timing and a ring capture.
-  void apply_traced(const decision& d, const ilp::ilp_header& header, const_byte_span payload,
-                    bool sampled);
   // Decodes a sampled trace context, if the packet carries one and path
   // tracing is enabled.
   std::optional<trace::trace_context> sampled_ctx(const ilp::ilp_header& header) const {
@@ -152,9 +149,9 @@ class pipe_terminus {
     return tc;
   }
   // Fast-path verdict application: routes through the path-span emitter
-  // when the packet is traced, plain apply_traced otherwise.
+  // when the packet is traced, plain apply otherwise.
   void apply_or_trace(const decision& d, const ilp::ilp_header& header,
-                      const_byte_span payload, bool sampled, std::uint16_t anno);
+                      const_byte_span payload, std::uint16_t anno);
   // Applies `d` emitting one `kind` span (id `span_id`, covering
   // start_ns → now) plus one forward span per egress copy; forwarded
   // headers carry the context on with hop_count + 1.
@@ -166,8 +163,7 @@ class pipe_terminus {
     return policy_.high_water > 0 && in_flight_.size() >= policy_.high_water;
   }
   // Installs the service's default verdict (TTL'd) and applies it now.
-  void shed_packet(peer_id l3_src, const ilp::ilp_header& header, const_byte_span payload,
-                   bool sampled);
+  void shed_packet(peer_id l3_src, const ilp::ilp_header& header, const_byte_span payload);
   // Submits with the policy's retry bound; false = caller sheds. Control
   // packets (and the legacy no-policy mode) retry until accepted.
   bool submit_bounded(const slowpath_request& req, bool is_control);
@@ -188,7 +184,6 @@ class pipe_terminus {
   // table aggregates ids outside the well-known range.
   static constexpr std::size_t kServiceSlots = 32;
   metrics_registry* reg_ = nullptr;
-  trace::tracer* tracer_ = nullptr;
   trace::path_recorder* path_rec_ = nullptr;
   counter* m_fast_ = nullptr;
   counter* m_slow_ = nullptr;

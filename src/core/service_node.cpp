@@ -25,11 +25,8 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
       scheduler_(std::move(scheduler)),
       router_(route),
       cache_(config.cache_capacity, config.cache_hash_seed),
-      tracer_(metrics_, trace::tracer::config{.hop = config.id,
-                                              .sample_shift = config.trace_sample_shift,
-                                              .ring_capacity = config.trace_ring_capacity}),
+      tracer_(metrics_),
       path_rec_(trace::path_recorder::config{.node = config.id,
-                                             .sample_shift = config.trace_sample_shift,
                                              .capacity = config.path_span_capacity,
                                              .clk = &clk}),
       pipes_(
@@ -48,13 +45,12 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
         // may alias an ingress slab) — no owned copy on the forward path.
         pipes_.send_span(to, header, payload);
       });
-  terminus_->enable_telemetry(metrics_, &tracer_);
+  terminus_->enable_telemetry(metrics_);
   if (config_.path_span_capacity > 0) terminus_->enable_path_tracing(&path_rec_);
   pipes_.set_metrics(metrics_);
   if (config_.blackbox_capacity > 0) {
     blackbox_ = std::make_unique<flight_recorder>(
-        flight_recorder::config{.capacity = config_.blackbox_capacity,
-                                .trigger_mask = config_.blackbox_triggers});
+        flight_recorder::config{.capacity = config_.blackbox_capacity});
   }
   // Liveness transitions become node event spans the collector correlates
   // with in-flight traces (a failover mid-trace shows up annotated, not as
@@ -83,8 +79,6 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
     ilp::liveness_config lcfg;
     lcfg.keepalive_interval = config_.keepalive_interval;
     lcfg.miss_budget = config_.keepalive_miss_budget;
-    lcfg.reconnect_backoff = config_.reconnect_backoff;
-    lcfg.reconnect_backoff_max = config_.reconnect_backoff_max;
     // Node-unique jitter seed: peers of one recovered SN desynchronize.
     // An explicitly configured seed wins (root-seed plumbing).
     lcfg.jitter_seed = config_.liveness_jitter_seed != 0
@@ -97,11 +91,8 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
     });
   }
   if (config_.profiler_hz > 0) {
-    profiler_ = std::make_unique<prof::profiler>(
-        prof::profiler_config{.sample_hz = config_.profiler_hz,
-                              .ring_slots = config_.profiler_ring_slots,
-                              .max_stacks = config_.profiler_max_stacks,
-                              .force_timer = config_.profiler_force_timer});
+    profiler_ = std::make_unique<prof::profiler>(prof::profiler_config{
+        .sample_hz = config_.profiler_hz, .force_timer = config_.profiler_force_timer});
     // The constructing thread owns the event loop and runs the whole
     // datapath; bind it now and arm immediately.
     profiler_->register_current_thread("control");
@@ -127,7 +118,7 @@ service_node::~service_node() {
 }
 
 std::size_t service_node::poll() {
-  prof::scoped_cycle_set cy(&stage_cycles_);
+  trace::scoped_tracer st(&tracer_);
   const std::size_t n = terminus_->pump();
   if (n > 0) terminus_->flush_telemetry();
   return n;
@@ -155,20 +146,17 @@ const terminus_stats& service_node::shard_terminus_stats(std::size_t shard) cons
 // ---- ingress entry points --------------------------------------------
 
 void service_node::on_datagram(peer_id from, const_byte_span datagram) {
-  prof::scoped_cycle_set cy(&stage_cycles_);
   trace::scoped_tracer st(&tracer_);
   pipes_.on_datagram(from, datagram);
 }
 
 void service_node::on_datagram_batch(peer_id from,
                                      std::span<const const_byte_span> datagrams) {
-  prof::scoped_cycle_set cy(&stage_cycles_);
   trace::scoped_tracer st(&tracer_);
   pipes_.on_datagram_batch(from, datagrams);
 }
 
 void service_node::on_datagrams(std::span<const std::pair<peer_id, bytes>> datagrams) {
-  prof::scoped_cycle_set cy(&stage_cycles_);
   trace::scoped_tracer st(&tracer_);
   // Feed maximal same-peer runs through the batched path; order across
   // peers is preserved because runs are flushed in arrival order.
@@ -187,7 +175,6 @@ void service_node::on_datagrams(std::span<const std::pair<peer_id, bytes>> datag
 }
 
 void service_node::on_datagram_views(std::span<std::pair<peer_id, buf::pkt_view>> datagrams) {
-  prof::scoped_cycle_set cy(&stage_cycles_);
   trace::scoped_tracer st(&tracer_);
   // Same-peer runs through the mutable batched path: data messages are
   // decrypted in place inside their slabs, so the whole inline fast path
@@ -261,7 +248,6 @@ void service_node::start_stats_reporting(nanoseconds interval,
 }
 
 slowpath_response service_node::handle_slowpath(slowpath_request req) {
-  prof::cycle_scope sc(prof::cycle_stage::slowpath);
   packet pkt;
   pkt.l3_src = req.l3_src;
   try {
@@ -432,11 +418,9 @@ void service_node::start_health_plane(health_config cfg, std::uint64_t max_ticks
 }
 
 void service_node::refresh_health_gauges() {
-  const std::uint64_t trace_dropped = tracer_.dropped_records();
   const std::uint64_t spans_dropped = path_rec_.dropped();
   const std::uint64_t in_flight = terminus_->in_flight();
   metrics_.get_gauge("sn.slowpath.in_flight_total").set(static_cast<std::int64_t>(in_flight));
-  metrics_.get_gauge("sn.trace.dropped_records").set(static_cast<std::int64_t>(trace_dropped));
   metrics_.get_gauge("sn.path.spans_dropped").set(static_cast<std::int64_t>(spans_dropped));
 }
 
@@ -491,33 +475,32 @@ void service_node::profile_tick() {
   // Render the top-N table now, on the owner thread, and publish it
   // lock-free: a freeze-path dump_blackbox_json (any thread) only loads
   // the shared_ptr — it never touches the profiler's aggregation mutex.
-  hot_stacks_snapshot_.store(std::make_shared<const std::string>(
-                                 profiler_->hot_stacks_json(config_.profiler_top_n)),
-                             std::memory_order_release);
+  constexpr std::size_t kHotStacksTopN = 10;  // postmortem hot-stack rows
+  hot_stacks_snapshot_.store(
+      std::make_shared<const std::string>(profiler_->hot_stacks_json(kHotStacksTopN)),
+      std::memory_order_release);
   metrics_.get_gauge("sn.profile.samples").set(static_cast<std::int64_t>(profiler_->total_samples()));
   metrics_.get_gauge("sn.profile.dropped").set(static_cast<std::int64_t>(profiler_->total_dropped()));
 
-  // Per-stage cycle shares: delta since the last tick, as percent of all
-  // attributed cycles. The cheap cross-check for the sampled stacks
+  // Per-stage shares: self-time delta since the last tick, as percent of
+  // all span self-time. The exact cross-check for the sampled stacks
   // (DESIGN.md §15).
-  std::array<std::uint64_t, prof::kCycleStageCount> cur{};
-  for (std::size_t s = 0; s < prof::kCycleStageCount; ++s) {
-    cur[s] = stage_cycles_.self[s].load(std::memory_order_relaxed);
-  }
+  std::array<std::uint64_t, trace::kStageCount> cur{};
   std::uint64_t total_delta = 0;
-  for (std::size_t s = 0; s < prof::kCycleStageCount; ++s) {
-    total_delta += cur[s] - last_stage_cycles_[s];
+  for (std::size_t s = 0; s < trace::kStageCount; ++s) {
+    cur[s] = tracer_.self_ns(static_cast<trace::stage>(s));
+    total_delta += cur[s] - last_stage_self_ns_[s];
   }
   if (total_delta > 0) {
-    for (std::size_t s = 0; s < prof::kCycleStageCount; ++s) {
-      const std::uint64_t delta = cur[s] - last_stage_cycles_[s];
+    for (std::size_t s = 0; s < trace::kStageCount; ++s) {
+      const std::uint64_t delta = cur[s] - last_stage_self_ns_[s];
       metrics_
           .get_gauge("sn.profile.stage_share",
-                     {{"stage", prof::cycle_stage_name(static_cast<prof::cycle_stage>(s))}})
+                     {{"stage", trace::stage_name(static_cast<trace::stage>(s))}})
           .set(static_cast<std::int64_t>(100 * delta / total_delta));
     }
   }
-  last_stage_cycles_ = cur;
+  last_stage_self_ns_ = cur;
 }
 
 void service_node::profile_refresh() { profile_tick(); }

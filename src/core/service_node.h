@@ -46,10 +46,6 @@ struct sn_config {
   std::uint16_t edomain = 0;
   std::size_t cache_capacity = 4096;
   std::uint64_t cache_hash_seed = 0;
-  // Packet tracing: sample 1 in 2^trace_sample_shift packets into the
-  // per-packet trace ring (stage histograms are always on; see DESIGN §8).
-  std::uint32_t trace_sample_shift = 8;
-  std::size_t trace_ring_capacity = 512;
   // Cross-hop path tracing (ISSUE 5): ring slots for the node's path span
   // recorder. 0 disables span emission entirely (packets still carry
   // any trace context they arrived with — it is ordinary sealed metadata).
@@ -58,11 +54,10 @@ struct sn_config {
   // ---- robustness (DESIGN.md §10) ----
   // Pipe keepalives: 0 disables. When set, the SN arms pipe_manager
   // liveness at construction and drives liveness_tick() off its scheduler
-  // every interval until stop_liveness().
+  // every interval until stop_liveness(). Reconnect backoff keeps
+  // ilp::liveness_config's defaults.
   nanoseconds keepalive_interval{0};
   std::uint32_t keepalive_miss_budget = 3;
-  nanoseconds reconnect_backoff = std::chrono::milliseconds(50);
-  nanoseconds reconnect_backoff_max = std::chrono::seconds(2);
   // Liveness keepalive-jitter seed. 0 derives a node-unique default from
   // the SN id; deployments that plumb one root seed everywhere (scenario
   // suites) set it explicitly so the jitter stream is part of the seed.
@@ -76,24 +71,16 @@ struct sn_config {
   // ---- SLO health plane (ISSUE 7) ----
   // Black-box flight recorder ring slots (0 disables). The recorder is
   // passive until events are fed to it (span drains, lifecycle events,
-  // triggers), so the default costs nothing on the packet path.
+  // triggers), so the default costs nothing on the packet path. Every
+  // fault kind freezes it (flight_recorder::config's default mask).
   std::size_t blackbox_capacity = 1024;
-  // Which faults freeze the black box (common/flight_recorder.h bits).
-  std::uint32_t blackbox_triggers =
-      kTrigPeerDown | kTrigFailover | kTrigShed | kTrigSloPage | kTrigManual;
 
   // ---- continuous profiling plane (ISSUE 10, DESIGN.md §15) ----
   // On-CPU sampling rate in Hz per thread; 0 disables the profiler
-  // entirely (no signal handler, no slot claims, no datapath cost beyond
-  // the always-compiled cycle scopes' TLS checks). The prime default in
-  // prof.h (97) is what deployments that arm it should use.
+  // entirely (no signal handler, no slot claims). The prime default in
+  // prof.h (97) is what deployments that arm it should use. Ring and
+  // stack-table sizes keep prof::profiler_config's defaults.
   std::uint32_t profiler_hz = 0;
-  // Per-thread raw-sample ring slots (a full ring is a counted drop).
-  std::size_t profiler_ring_slots = 256;
-  // Aggregated stack-table cap across all threads.
-  std::size_t profiler_max_stacks = 2048;
-  // Hot stacks embedded in the black-box postmortem / snapshot JSON.
-  std::size_t profiler_top_n = 10;
   // Skip the perf_event_open probe and use the CPU-clock timer backend
   // (deterministic backend choice for tests; see prof.h).
   bool profiler_force_timer = false;
@@ -327,11 +314,11 @@ class service_node final : public node_services {
   void schedule_periodic(loop_gen& gen, loop_gen armed, nanoseconds interval,
                          std::uint64_t remaining, std::shared_ptr<std::function<void()>> tick);
   void health_tick();
-  // Point-in-time saturation/loss gauges (slow-path lag, tracer drop
+  // Point-in-time saturation/loss gauges (slow-path lag, path-span drop
   // accounting) refreshed before any snapshot leaves the node.
   void refresh_health_gauges();
-  // Profiler drain + hot-stack snapshot + per-stage cycle-share gauges,
-  // folded into every health tick before the registry snapshot is taken.
+  // Profiler drain + hot-stack snapshot + per-stage share gauges, folded
+  // into every health tick before the registry snapshot is taken.
   void profile_tick();
 
   sn_config config_;
@@ -370,13 +357,12 @@ class service_node final : public node_services {
 
   // ---- continuous profiling plane state (ISSUE 10) ----
   std::unique_ptr<prof::profiler> profiler_;
-  prof::cycle_set stage_cycles_;  // datapath stage cycles
   // Rendered top-N hot-stack JSON, refreshed by profile_tick(). The
   // freeze-path postmortem dump loads it lock-free — rendering (which
   // takes the profiler mutex) never happens on a freeze path.
   std::atomic<std::shared_ptr<const std::string>> hot_stacks_snapshot_;
-  // Per-stage cycle baselines for the share gauges.
-  std::array<std::uint64_t, prof::kCycleStageCount> last_stage_cycles_{};
+  // Per-stage self-time baselines for the share gauges.
+  std::array<std::uint64_t, trace::kStageCount> last_stage_self_ns_{};
 
   // Batch-path scratch, reused across calls.
   std::vector<trace::path_span> span_drain_scratch_;

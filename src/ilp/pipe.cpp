@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "common/prof.h"
 #include "common/serial.h"
 #include "common/trace.h"
 #include "crypto/kdf.h"
@@ -37,6 +36,7 @@ void append_varint(bytes& out, std::uint64_t v) {
 }  // namespace
 
 std::optional<std::pair<ilp_header, bytes>> pipe::open(const_byte_span body) {
+  trace::span decrypt_span(trace::stage::decrypt);
   try {
     reader r(body);
     const const_byte_span sealed = r.blob();
@@ -63,16 +63,12 @@ std::optional<std::pair<ilp_header, bytes>> pipe::open(const_byte_span body) {
 
 std::size_t pipe::decrypt_batch(std::span<const const_byte_span> bodies,
                                 std::vector<std::optional<opened_packet>>& out) {
-  prof::cycle_scope cyc(prof::cycle_stage::decrypt);
+  // Stage timing is batch-granular — one span (two clock reads) per batch,
+  // so the telemetry cost amortizes to ~nothing per packet (DESIGN.md §8).
+  trace::span decrypt_span(trace::stage::decrypt);
   const std::size_t n = bodies.size();
   out.clear();
   out.resize(n);
-
-  // Stage timing is batch-granular — four clock reads per batch, so the
-  // telemetry cost amortizes to ~nothing per packet (DESIGN.md §8).
-  trace::tracer* tr = trace::current();
-  std::uint64_t t0 = 0, t1 = 0, t2 = 0;
-  if (tr) t0 = trace::now_ns();
 
   // Pass 1: parse every body, recording the sealed-header span, the
   // payload span and the per-packet length AAD. A parse failure leaves the
@@ -101,8 +97,6 @@ std::size_t pipe::decrypt_batch(std::span<const const_byte_span> bodies,
     }
   }
 
-  if (tr) t1 = trace::now_ns();
-
   // Pass 2: decrypt every header in one multi-stream batch, each into its
   // slice of the shared arena.
   open_scratch_.resize(arena_size);
@@ -120,7 +114,6 @@ std::size_t pipe::decrypt_batch(std::span<const const_byte_span> bodies,
   }
   rx_.open_batch(sealed_scratch_, aad_scratch_, dst_scratch_,
                   std::span<bool>(ok_scratch_.get(), n));
-  if (tr) t2 = trace::now_ns();
 
   // Pass 3: decode the authenticated headers.
   std::size_t opened = 0;
@@ -138,25 +131,15 @@ std::size_t pipe::decrypt_batch(std::span<const const_byte_span> bodies,
       ++stats_.rejected;
     }
   }
-  if (tr) {
-    const std::uint64_t t3 = trace::now_ns();
-    // Parse = wire parse (pass 1) + header decode (pass 3).
-    tr->record_stage(trace::stage::parse, (t1 - t0) + (t3 - t2));
-    tr->record_stage(trace::stage::decrypt, t2 - t1);
-  }
   return opened;
 }
 
 std::size_t pipe::decrypt_batch_mut(std::span<const byte_span> bodies,
                                     std::vector<std::optional<opened_packet>>& out) {
-  prof::cycle_scope cyc(prof::cycle_stage::decrypt);
+  trace::span decrypt_span(trace::stage::decrypt);
   const std::size_t n = bodies.size();
   out.clear();
   out.resize(n);
-
-  trace::tracer* tr = trace::current();
-  std::uint64_t t0 = 0, t1 = 0, t2 = 0;
-  if (tr) t0 = trace::now_ns();
 
   // Pass 1: parse framing. Identical to decrypt_batch, except the decrypt
   // destination is computed inside the body itself: the plaintext header
@@ -189,8 +172,6 @@ std::size_t pipe::decrypt_batch_mut(std::span<const byte_span> bodies,
     }
   }
 
-  if (tr) t1 = trace::now_ns();
-
   // Pass 2: one multi-stream batch decrypt, in place. psp::open_batch
   // permits dst aliasing the wire's ciphertext (tag is verified before any
   // plaintext byte is written).
@@ -200,7 +181,6 @@ std::size_t pipe::decrypt_batch_mut(std::span<const byte_span> bodies,
   }
   rx_.open_batch(sealed_scratch_, aad_scratch_, dst_scratch_,
                   std::span<bool>(ok_scratch_.get(), n));
-  if (tr) t2 = trace::now_ns();
 
   // Pass 3: decode the authenticated headers out of the bodies.
   std::size_t opened = 0;
@@ -217,11 +197,6 @@ std::size_t pipe::decrypt_batch_mut(std::span<const byte_span> bodies,
     } catch (const serial_error&) {
       ++stats_.rejected;
     }
-  }
-  if (tr) {
-    const std::uint64_t t3 = trace::now_ns();
-    tr->record_stage(trace::stage::parse, (t1 - t0) + (t3 - t2));
-    tr->record_stage(trace::stage::decrypt, t2 - t1);
   }
   return opened;
 }

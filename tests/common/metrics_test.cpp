@@ -263,7 +263,7 @@ TEST(MetricsRegistry, ExportPrometheusEscapesLabelValues) {
 TEST(MetricsRegistry, ExportJsonShape) {
   metrics_registry reg;
   reg.get_counter("sn.rx.pkts", {{"service", "odns"}}).add(4);
-  reg.get_histogram("sn.stage.parse").record(10);
+  reg.get_histogram("sn.stage.decrypt").record(10);
   const std::string out = reg.export_json();
   EXPECT_NE(out.find("{\"metrics\":["), std::string::npos);
   EXPECT_NE(out.find("\"name\":\"sn.rx.pkts\""), std::string::npos);

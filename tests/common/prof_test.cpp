@@ -71,52 +71,6 @@ TEST(SampleRing, CapacityRoundsToPowerOfTwo) {
   EXPECT_EQ(ring.capacity(), 8u);
 }
 
-TEST(CycleScope, InertWithoutAmbientSet) {
-  // No scoped_cycle_set installed: scopes are no-ops (the inline-mode
-  // datapath without a profiler pays two TLS loads, nothing else).
-  { cycle_scope s(cycle_stage::decrypt); }
-  EXPECT_EQ(cycle_current(), nullptr);
-}
-
-TEST(CycleScope, BothStagesCredited) {
-  cycle_set set;
-  {
-    scoped_cycle_set ambient(&set);
-    ASSERT_EQ(cycle_current(), &set);
-    cycle_scope outer(cycle_stage::terminus);
-    prof_test_static_spin(1);
-    {
-      cycle_scope inner(cycle_stage::decrypt);
-      prof_test_static_spin(1);
-    }
-  }
-  EXPECT_EQ(cycle_current(), nullptr);
-  EXPECT_GT(set.self[static_cast<std::size_t>(cycle_stage::terminus)], 0u);
-  EXPECT_GT(set.self[static_cast<std::size_t>(cycle_stage::decrypt)], 0u);
-}
-
-TEST(CycleScope, NestedScopeIsNotDoubleCounted) {
-  // The outer scope does nothing but host the inner one: with self-time
-  // semantics its credited cycles are a few scope-management ticks, while
-  // a double-counting implementation would credit it the whole inner
-  // spin. Load-insensitive on purpose — preemption inside the inner spin
-  // inflates outer elapsed and inner child time identically, so outer
-  // self-time stays negligible under any scheduler behavior short of a
-  // preemption landing in the ~100ns scope-entry window.
-  cycle_set set;
-  {
-    scoped_cycle_set ambient(&set);
-    cycle_scope outer(cycle_stage::terminus);
-    cycle_scope inner(cycle_stage::decrypt);
-    prof_test_static_spin(10);
-  }
-  std::uint64_t terminus = set.self[static_cast<std::size_t>(cycle_stage::terminus)];
-  std::uint64_t decrypt = set.self[static_cast<std::size_t>(cycle_stage::decrypt)];
-  EXPECT_GT(decrypt, 0u);
-  EXPECT_LT(terminus, decrypt);
-  EXPECT_EQ(set.total(), terminus + decrypt);
-}
-
 TEST(Profiler, DisarmedByConfigIsInert) {
   profiler p(profiler_config{.sample_hz = 0});
   EXPECT_FALSE(p.register_current_thread("main"));

@@ -1,5 +1,6 @@
-// Per-hop packet tracing (ISSUE 2): sampler determinism, span nesting
-// through the thread-local current tracer, and the sampled-record ring.
+// Datapath stage timing: stage histograms interned into the
+// registry, span nesting through the thread-local current tracer, and the
+// per-stage self-time totals that feed the profiler's share gauges.
 #include "common/trace.h"
 
 #include <gtest/gtest.h>
@@ -13,37 +14,12 @@
 namespace interedge::trace {
 namespace {
 
-TEST(Tracer, SamplerIsDeterministic) {
-  metrics_registry reg;
-  tracer t(reg, tracer::config{.sample_shift = 2});  // 1 in 4
-  std::vector<bool> hits;
-  for (int i = 0; i < 12; ++i) hits.push_back(t.sample_tick());
-  const std::vector<bool> expected = {true, false, false, false, true, false,
-                                      false, false, true, false, false, false};
-  EXPECT_EQ(hits, expected);
-  EXPECT_EQ(t.packets_seen(), 12u);
-}
-
-TEST(Tracer, BatchSamplerMatchesPerPacketSampler) {
-  metrics_registry reg;
-  tracer batched(reg, tracer::config{.sample_shift = 3});
-  tracer scalar(reg, tracer::config{.sample_shift = 3});
-  // Two batches of 5 and 11 must sample exactly the packets the scalar
-  // tick would, at the same sequence positions.
-  std::vector<bool> from_batch, from_scalar;
-  for (const std::uint64_t n : {5u, 11u}) {
-    const std::uint64_t base = batched.sample_tick_batch(n);
-    for (std::uint64_t i = 0; i < n; ++i) from_batch.push_back(batched.sample_hit(base + i));
-    for (std::uint64_t i = 0; i < n; ++i) from_scalar.push_back(scalar.sample_tick());
-  }
-  EXPECT_EQ(from_batch, from_scalar);
-  EXPECT_EQ(batched.packets_seen(), 16u);
-}
-
-TEST(Tracer, SampleShiftZeroSamplesEveryPacket) {
-  metrics_registry reg;
-  tracer t(reg, tracer::config{.sample_shift = 0});
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(t.sample_tick());
+// Burns at least `us` microseconds of wall time, so a span around it
+// measures a nonzero elapsed time on any clock resolution.
+void spin_us(std::uint64_t us) {
+  const std::uint64_t until = now_ns() + us * 1000;
+  volatile std::uint64_t acc = 1;
+  while (now_ns() < until) acc = acc * 6364136223846793005ull + 1;
 }
 
 TEST(Tracer, StageHistogramsAreInternedIntoRegistry) {
@@ -55,105 +31,96 @@ TEST(Tracer, StageHistogramsAreInternedIntoRegistry) {
     EXPECT_NE(std::find(families.begin(), families.end(), name), families.end())
         << "missing " << name;
   }
-  t.record_stage(stage::decrypt, 1500);
+  t.record(stage::decrypt, 1500, 1500);
   EXPECT_EQ(reg.get_histogram("sn.stage.decrypt").count(), 1u);
   EXPECT_EQ(&t.stage_hist(stage::decrypt), &reg.get_histogram("sn.stage.decrypt"));
+  EXPECT_EQ(t.self_ns(stage::decrypt), 1500u);
 }
 
-TEST(Span, NoOpWithoutCurrentTracer) {
+TEST(Span, InertWithoutCurrentTracer) {
+  // No scoped_tracer installed: spans are no-ops (one TLS load each), and
+  // an untraced span is not a parent that later spans report into.
   ASSERT_EQ(current(), nullptr);
+  metrics_registry reg;
+  tracer t(reg);
   {
-    span s(stage::cache);
-    EXPECT_EQ(span_depth(), 0);  // untraced spans don't touch the depth stack
+    span untraced(stage::ingress);
+    scoped_tracer install(&t);
+    { span inner(stage::decrypt); }
   }
-  EXPECT_EQ(span_depth(), 0);
+  EXPECT_EQ(current(), nullptr);
+  EXPECT_EQ(t.stage_hist(stage::ingress).count(), 0u);
+  EXPECT_EQ(t.stage_hist(stage::decrypt).count(), 1u);
+  EXPECT_EQ(t.self_ns(stage::ingress), 0u);
 }
 
-TEST(Span, NestingTracksDepthAndRecordsEachStage) {
+TEST(Span, NestingRecordsEachStageOnClose) {
   metrics_registry reg;
   tracer t(reg);
   scoped_tracer install(&t);
-  EXPECT_EQ(span_depth(), 0);
   {
     span outer(stage::ingress);
-    EXPECT_EQ(span_depth(), 1);
-    {
-      span inner(stage::decrypt);
-      EXPECT_EQ(span_depth(), 2);
-    }
-    EXPECT_EQ(span_depth(), 1);
+    { span inner(stage::decrypt); }
     EXPECT_EQ(t.stage_hist(stage::decrypt).count(), 1u);  // inner closed already
     EXPECT_EQ(t.stage_hist(stage::ingress).count(), 0u);  // outer still open
   }
-  EXPECT_EQ(span_depth(), 0);
   EXPECT_EQ(t.stage_hist(stage::ingress).count(), 1u);
 }
 
-TEST(Span, CaptureRecordsDepthAndVerdict) {
+TEST(Span, BothStagesCredited) {
   metrics_registry reg;
-  tracer t(reg, tracer::config{.hop = 42});
-  scoped_tracer install(&t);
+  tracer t(reg);
   {
-    span outer(stage::ingress, /*capture=*/true);
-    span inner(stage::emit, /*capture=*/true);
-    inner.set_verdict(kVerdictForward);
+    scoped_tracer install(&t);
+    ASSERT_EQ(current(), &t);
+    span outer(stage::ingress);
+    spin_us(200);
+    {
+      span inner(stage::decrypt);
+      spin_us(200);
+    }
   }
-  const auto records = t.recent();
-  ASSERT_EQ(records.size(), 2u);
-  // Most-recent-first: outer closes after inner.
-  EXPECT_EQ(records[0].st, stage::ingress);
-  EXPECT_EQ(records[0].depth, 0);
-  EXPECT_EQ(records[0].verdict, kVerdictNone);
-  EXPECT_EQ(records[1].st, stage::emit);
-  EXPECT_EQ(records[1].depth, 1);
-  EXPECT_EQ(records[1].verdict, kVerdictForward);
-  EXPECT_EQ(records[0].hop, 42u);
-  EXPECT_EQ(t.sampled(), 2u);
+  EXPECT_EQ(current(), nullptr);
+  EXPECT_GT(t.self_ns(stage::ingress), 0u);
+  EXPECT_GT(t.self_ns(stage::decrypt), 0u);
 }
 
-TEST(Tracer, RingWrapKeepsMostRecentRecords) {
+TEST(Span, NestedSelfTimeSumsToOuterInclusiveTime) {
+  // Self-time semantics: the outer span is credited its elapsed time
+  // minus the inner span's, so the two self-times add up to exactly the
+  // outer span's inclusive time (its histogram sample) — a double-counting
+  // implementation would exceed it by the whole inner span.
   metrics_registry reg;
-  tracer t(reg, tracer::config{.ring_capacity = 4});
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    t.capture(stage::cache, /*start_ns=*/i, /*duration_ns=*/i * 10);
+  tracer t(reg);
+  {
+    scoped_tracer install(&t);
+    span outer(stage::slowpath);
+    spin_us(100);
+    {
+      span inner(stage::service);
+      spin_us(1000);
+    }
   }
-  const auto all = t.recent();
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_EQ(all[0].seq, 9u);
-  EXPECT_EQ(all[3].seq, 6u);
-  EXPECT_EQ(all[0].duration_ns, 90u);
-  const auto limited = t.recent(2);
-  ASSERT_EQ(limited.size(), 2u);
-  EXPECT_EQ(limited[1].seq, 8u);
-  EXPECT_EQ(t.sampled(), 10u);
+  const std::uint64_t outer_inclusive = t.stage_hist(stage::slowpath).sum();
+  const std::uint64_t inner_inclusive = t.stage_hist(stage::service).sum();
+  EXPECT_EQ(t.self_ns(stage::slowpath) + t.self_ns(stage::service), outer_inclusive);
+  EXPECT_EQ(t.self_ns(stage::service), inner_inclusive);
+  EXPECT_LT(t.self_ns(stage::slowpath), outer_inclusive);
+  EXPECT_GE(inner_inclusive, 1'000'000u);
 }
 
-TEST(Tracer, DumpIsHumanReadable) {
+TEST(Span, SiblingsUnderOneParentAreEachSubtractedOnce) {
   metrics_registry reg;
-  tracer t(reg, tracer::config{.hop = 7});
-  t.capture(stage::slowpath, 100, 2500, kVerdictDrop);
-  const std::string out = t.dump();
-  EXPECT_NE(out.find("hop=7"), std::string::npos);
-  EXPECT_NE(out.find("stage=slowpath"), std::string::npos);
-  EXPECT_NE(out.find("dur=2500ns"), std::string::npos);
-  EXPECT_NE(out.find("verdict=X"), std::string::npos);
-}
-
-TEST(Tracer, WrapBetweenExportsCountsDroppedRecords) {
-  metrics_registry reg;
-  tracer t(reg, tracer::config{.ring_capacity = 4});
-  for (std::uint64_t i = 0; i < 4; ++i) t.capture(stage::cache, i, 10);
-  t.recent();
-  EXPECT_EQ(t.dropped_records(), 0u);
-  // 10 captures since the last export against 4 slots: 6 records wrapped
-  // out unread, and the export must say so instead of truncating silently.
-  for (std::uint64_t i = 0; i < 10; ++i) t.capture(stage::cache, i, 10);
-  t.recent();
-  EXPECT_EQ(t.dropped_records(), 6u);
-  // An in-capacity burst accrues nothing further (cumulative counter).
-  t.capture(stage::cache, 0, 10);
-  t.recent();
-  EXPECT_EQ(t.dropped_records(), 6u);
+  tracer t(reg);
+  {
+    scoped_tracer install(&t);
+    span outer(stage::ingress);
+    { span a(stage::slowpath); spin_us(100); }
+    { span b(stage::service); spin_us(100); }
+  }
+  std::uint64_t self_total = 0;
+  for (std::size_t i = 0; i < kStageCount; ++i) self_total += t.self_ns(static_cast<stage>(i));
+  EXPECT_EQ(self_total, t.stage_hist(stage::ingress).sum());
 }
 
 // ---- cross-hop trace context (ISSUE 5) --------------------------------

@@ -399,6 +399,57 @@ TEST(ServiceNode, ViewsIngressMatchesBytesIngress) {
   EXPECT_EQ(from_views, from_bytes);
 }
 
+// The profiler's share gauges come from the stage spans' self-time: one
+// gauge per trace::stage, labelled with the stage name, and the floored
+// percentages of one tick sum to 100 minus at most one per stage.
+TEST(ServiceNode, StageShareGaugesFollowTheSpanStages) {
+  simulation net;
+  testing::identity_router route;
+  auto alice = make_host(net);
+  auto bob = make_host(net);
+  sn_config cfg;
+  cfg.profiler_hz = 997;
+  cfg.profiler_force_timer = true;
+  auto sn = make_sn(net, &route, 1, cfg);
+  sn->env().deploy(std::make_unique<testing::forwarder_module>());
+  // Feed the batched entry, the one the real transport uses, so the
+  // decrypt and ingress stages run as batch spans.
+  net.set_handler(sn->node_id(), [raw = sn.get()](node_id from, const bytes& data) {
+    const const_byte_span one(data.data(), data.size());
+    raw->on_datagram_batch(from, std::span(&one, 1));
+  });
+
+  for (int c = 1; c <= 4; ++c) {
+    for (int p = 0; p < 20; ++p) {
+      alice->mgr->send(sn->node_id(), delivery_header(bob->node, c), to_bytes("x"));
+    }
+  }
+  net.run();
+  ASSERT_EQ(bob->received.size(), 80u);
+  sn->profile_refresh();
+
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < trace::kStageCount; ++i) {
+    names.insert(trace::stage_name(static_cast<trace::stage>(i)));
+  }
+  std::set<std::string> seen;
+  std::int64_t sum = 0;
+  for (const metric_sample& s : sn->metrics().samples()) {
+    if (s.name != "sn.profile.stage_share") continue;
+    const std::string prefix = "sn.profile.stage_share{stage=\"";
+    ASSERT_EQ(s.key.rfind(prefix, 0), 0u) << s.key;
+    const std::string stage = s.key.substr(prefix.size(), s.key.size() - prefix.size() - 2);
+    EXPECT_TRUE(names.contains(stage)) << "not a trace::stage: " << stage;
+    seen.insert(stage);
+    sum += static_cast<std::int64_t>(s.value);
+  }
+  EXPECT_EQ(seen, names);
+  EXPECT_GE(sum, 100 - static_cast<std::int64_t>(trace::kStageCount));
+  EXPECT_LE(sum, 100);
+  EXPECT_GT(sn->packet_tracer().self_ns(trace::stage::decrypt), 0u);
+  EXPECT_GT(sn->packet_tracer().self_ns(trace::stage::ingress), 0u);
+}
+
 // ---- periodic loops: stop then start -----------------------------------
 //
 // Each loop is started with sink A and a 5-run bound, stopped, and

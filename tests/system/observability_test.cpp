@@ -118,11 +118,12 @@ TEST(Observability, DatapathCountersAndStageHistogramsPopulate) {
   EXPECT_GT(value_of("sn.rx.pkts{service=\"delivery\"}"), 0.0);
   EXPECT_GT(value_of("sn.slowpath.pkts"), 0.0);
   EXPECT_GT(value_of("sn.tx.forwarded"), 0.0);
-  // Every slow-path dispatch runs inside a service-stage span, and the
-  // sampler sequence advances once per packet.
-  trace::tracer& tr = sn.packet_tracer();
-  EXPECT_GT(tr.stage_hist(trace::stage::service).count(), 0u);
-  EXPECT_GT(tr.packets_seen(), 0u);
+  // Every packet is opened inside a decrypt span and dispatched inside an
+  // ingress span, and every slow-path dispatch runs inside a service span.
+  // A histogram's sample value is its count.
+  EXPECT_GT(value_of("sn.stage.ingress"), 0.0);
+  EXPECT_GT(value_of("sn.stage.decrypt"), 0.0);
+  EXPECT_GT(sn.packet_tracer().stage_hist(trace::stage::service).count(), 0u);
   // And the service dispatch family exists for the deployed module.
   const auto families = sn.metrics().family_names();
   EXPECT_NE(std::find(families.begin(), families.end(), "sn.slowpath.dispatch"),

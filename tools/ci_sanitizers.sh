@@ -69,9 +69,12 @@ run_preset() {
   # ConcurrentSamplingDrainAndTeardown fires live SIGPROF at 1993Hz into
   # spinning workers under concurrent drain — tsan proves the handler
   # touches nothing but the ring's atomics and its slot memory, asan that
-  # teardown never races a late signal into freed memory.
-  echo "== $preset: sampling profiler (focused) =="
-  ctest --preset "$preset" -R '^prof_test$' --output-on-failure
+  # teardown never races a late signal into freed memory. The stage-share
+  # gauges ride along: the datapath thread's spans write the tracer's
+  # self-time totals that the health tick reads (common_test's Span cases,
+  # core_test's share-gauge case with a live profiler).
+  echo "== $preset: sampling profiler + stage spans (focused) =="
+  ctest --preset "$preset" -R '^(prof_test|common_test|core_test)$' --output-on-failure
   # Scenario engine (ISSUE 9): the adversarial + churn suites drive every
   # subsystem at once on the simulator's one thread — flood-driven shed,
   # cache purges on protect/allow and peer-down, liveness teardown with
